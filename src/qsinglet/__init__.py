@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 from .discrimination import (
     Povm,
     build_idp_povm,
-    discriminate,
     equatorial_state,
     idp_success_probability,
-    outcome_probabilities,
 )
 from .linalg import (
     EigenSystem,
     eigendecompose_2x2_unitary,
+    generate_gate,
     haar_random_unitary,
     is_unitary,
     load_unitary,
@@ -49,7 +48,6 @@ from .protocols import (
     tomography_baseline,
 )
 from .qudit import (
-    QuditReport,
     householder_reflection,
     run_qudit_minus_one,
     spectrum_check_minus_one,
@@ -57,31 +55,26 @@ from .qudit import (
 from .register import (
     ControlledGate,
     EntangledSubsystemError,
-    MeasurementRecord,
     State,
     apply_controlled,
     apply_unitary,
     basis_state,
     extract_subsystem,
     fidelity,
-    measure,
     outcome_distribution,
     product_state,
 )
-from .singlet import make_singlet, singlet_in_eigenbasis, transform_invariance_defect
-from .cli import generate_gate, run_experiment
+from .singlet import make_singlet
 
 __all__ = [
     "ControlledGate",
     "EigenSystem",
     "EntangledSubsystemError",
     "GridDecomposition",
-    "MeasurementRecord",
     "PeBranch",
     "PeReport",
     "Povm",
     "ProtocolReport",
-    "QuditReport",
     "SpectrumError",
     "State",
     "TomographyEstimate",
@@ -89,7 +82,6 @@ __all__ = [
     "apply_unitary",
     "basis_state",
     "build_idp_povm",
-    "discriminate",
     "eigendecompose_2x2_unitary",
     "equatorial_state",
     "eta_state",
@@ -104,23 +96,18 @@ __all__ = [
     "is_unitary",
     "load_unitary",
     "make_singlet",
-    "measure",
     "nearest_grid",
     "outcome_distribution",
-    "outcome_probabilities",
     "product_state",
     "protocol_known_phases",
     "protocol_pm1",
     "protocol_quartet",
     "protocol_square_trick",
     "run_double_pe",
-    "run_experiment",
     "run_qudit_minus_one",
     "save_unitary",
-    "singlet_in_eigenbasis",
     "spectrum_check_minus_one",
     "tensor_product",
     "tomography_baseline",
-    "transform_invariance_defect",
     "unitary_from_eigensystem",
 ]

@@ -11,21 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .linalg import (
-    EigenSystem,
-    haar_random_unitary,
-    load_unitary,
-    save_unitary,
-    unitary_from_eigensystem,
-    wrap_phase,
-)
+from .linalg import MAX_SEED, generate_gate, load_unitary, require_int, require_number
 from .phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
 from .protocols import (
     protocol_known_phases,
@@ -35,53 +29,144 @@ from .protocols import (
     tomography_baseline,
 )
 from .qudit import MAX_QUDIT_DIM, run_qudit_minus_one
+from .register import top_k
 
-PROTOCOLS = (
-    "tomography",
-    "pm1",
-    "known-phases",
-    "square-trick",
-    "quartet",
-    "double-pe",
-    "qudit-minus-one",
-)
-
-# required and optional parameter keys per protocol; anything else is rejected
-PROTOCOL_PARAMS = {
-    "tomography": (frozenset(), frozenset({"phase_grid_size"})),
-    "pm1": (frozenset(), frozenset()),
-    "known-phases": (frozenset({"theta1", "theta2"}), frozenset()),
-    "square-trick": (frozenset(), frozenset()),
-    "quartet": (frozenset(), frozenset()),
-    "double-pe": (frozenset({"n"}), frozenset()),
-    "qudit-minus-one": (frozenset({"d"}), frozenset()),
-}
-
-MAX_SEED = 2 ** 64
-DISTRIBUTION_FLOOR = 1e-12
 DISTRIBUTION_CAP = 4096
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _meta() -> dict:
+    """The report's "meta" block; its timestamp is the one nondeterministic field."""
+    timestamp = datetime.now(timezone.utc).isoformat()
+    return {"tool": "qsinglet", "version": __version__, "timestamp": timestamp}
 
 
-def _require_int(value, what: str, minimum=None, maximum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{what} must be at least {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise ValueError(f"{what} must be at most {maximum}, got {value}")
-    return value
+@dataclass(frozen=True)
+class Param:
+    """One protocol parameter: its config key, type and bounds.
+
+    A ``flag`` text adds a ``--key`` override to ``qsinglet run``.
+    """
+
+    key: str
+    kind: type
+    required: bool = True
+    minimum: int | None = None
+    maximum: int | None = None
+    flag: str | None = None
+
+    def check(self, value) -> None:
+        if self.kind is int:
+            require_int(value, self.key, minimum=self.minimum, maximum=self.maximum)
+        else:
+            require_number(value, self.key)
 
 
-def _require_number(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+@dataclass(frozen=True)
+class Protocol:
+    """A protocol's parameters and its runner.
+
+    ``run(gate, shots, seed, **params)`` returns the report body: the exact
+    outcome distribution (when the protocol has one), per-branch fidelities,
+    the gate use count, and a histogram when shots > 0.
+    """
+
+    params: tuple
+    run: Callable[..., dict]
+
+
+def _labelled_body(report) -> dict:
+    body = {
+        "exact_distribution": report.exact_distribution,
+        "fidelities": {
+            label: (list(branch.fidelities) if branch.fidelities is not None else None)
+            for label, branch in report.branches.items()
+        },
+        "gate_uses": report.gate_uses,
+    }
+    if report.shots_used > 0:
+        body["histogram"] = report.histogram
+    return body
+
+
+def _tomography(gate, shots, seed, phase_grid_size=16) -> dict:
+    if shots < 1:
+        raise ValueError("tomography needs shots >= 1 (counts per setting)")
+    est = tomography_baseline(gate, shots, seed=seed, phase_grid_size=phase_grid_size)
+    estimate = asdict(est)
+    gate_uses = estimate.pop("gate_uses")
+    return {"fidelities": {}, "gate_uses": gate_uses, "estimate": estimate}
+
+
+def _double_pe(gate, shots, seed, n) -> dict:
+    if gate.shape != (2, 2):
+        raise ValueError("double-pe runs on 2x2 gates")
+    report = run_double_pe(gate, n, shots=shots, seed=seed)
+    size = 2 ** n
+    flat = report.exact_joint.reshape(-1)
+    body = {
+        "exact_distribution": {
+            f"{i // size},{i % size}": float(flat[i])
+            for i in map(int, top_k(flat, DISTRIBUTION_CAP))
+        },
+        "fidelities": {
+            f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
+        },
+        "gate_uses": report.gate_uses,
+    }
+    if shots > 0:
+        body["histogram"] = {f"{za},{zb}": c for (za, zb), c in report.joint_histogram.items()}
+    return body
+
+
+def _qudit(gate, shots, seed, d) -> dict:
+    if gate.shape[0] != d:
+        raise ValueError(f"gate dimension {gate.shape[0]} does not match requested d={d}")
+    return _labelled_body(run_qudit_minus_one(gate, seed=seed, shots=shots))
+
+
+# The one table of protocols: config validation, the --protocol choices, the
+# parameter override flags and the dispatch of run_experiment all read it.
+# Runners call the library by name at run time, so wrapping those module
+# bindings (as a tracer does) sees every call.
+PROTOCOLS = {
+    "tomography": Protocol(
+        (Param("phase_grid_size", int, required=False, minimum=3, maximum=1024),), _tomography
+    ),
+    "pm1": Protocol(
+        (), lambda gate, shots, seed: _labelled_body(protocol_pm1(gate, seed, shots))
+    ),
+    "known-phases": Protocol(
+        (
+            Param("theta1", float, flag="the first known phase"),
+            Param("theta2", float, flag="the second known phase"),
+        ),
+        lambda gate, shots, seed, theta1, theta2: _labelled_body(
+            protocol_known_phases(gate, theta1, theta2, seed, shots)
+        ),
+    ),
+    "square-trick": Protocol(
+        (), lambda gate, shots, seed: _labelled_body(protocol_square_trick(gate, seed, shots))
+    ),
+    "quartet": Protocol(
+        (), lambda gate, shots, seed: _labelled_body(protocol_quartet(gate, seed, shots))
+    ),
+    "double-pe": Protocol(
+        (
+            Param(
+                "n", int, minimum=1, maximum=MAX_REGISTER_QUBITS,
+                flag="the double-pe register size",
+            ),
+        ),
+        _double_pe,
+    ),
+    "qudit-minus-one": Protocol(
+        (Param("d", int, minimum=2, maximum=MAX_QUDIT_DIM, flag="the qudit dimension"),), _qudit
+    ),
+}
+
+
+# parameters with a `qsinglet run` override flag, in table order
+FLAG_PARAMS = tuple(p for protocol in PROTOCOLS.values() for p in protocol.params if p.flag)
 
 
 def load_config(path: str) -> dict:
@@ -117,10 +202,10 @@ def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
         config["seed"] = args.seed
     if args.gate is not None:
         config["gate"] = {"file": args.gate}
-    for key in ("n", "d", "theta1", "theta2"):
-        value = getattr(args, key)
+    for param in FLAG_PARAMS:
+        value = getattr(args, param.key)
         if value is not None:
-            config["params"][key] = value
+            config["params"][param.key] = value
     return config
 
 
@@ -129,44 +214,20 @@ def validate_config(config: dict) -> dict:
     protocol = config["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
-    _require_int(config["shots"], "shots", minimum=0)
-    _require_int(config["seed"], "seed", minimum=0, maximum=MAX_SEED - 1)
+    require_int(config["shots"], "shots", minimum=0)
+    require_int(config["seed"], "seed", minimum=0, maximum=MAX_SEED - 1)
     params = config["params"]
-    required, optional = PROTOCOL_PARAMS[protocol]
-    missing = required - set(params)
+    spec = PROTOCOLS[protocol].params
+    missing = {p.key for p in spec if p.required} - set(params)
     if missing:
         raise ValueError(f"protocol {protocol} requires params: {sorted(missing)}")
-    extra = set(params) - required - optional
+    extra = set(params) - {p.key for p in spec}
     if extra:
         raise ValueError(f"protocol {protocol} does not accept params: {sorted(extra)}")
-    if "theta1" in params:
-        _require_number(params["theta1"], "theta1")
-        _require_number(params["theta2"], "theta2")
-    if "n" in params:
-        _require_int(params["n"], "n", minimum=1, maximum=MAX_REGISTER_QUBITS)
-    if "d" in params:
-        _require_int(params["d"], "d", minimum=2, maximum=MAX_QUDIT_DIM)
-    if "phase_grid_size" in params:
-        _require_int(params["phase_grid_size"], "phase_grid_size", minimum=3)
+    for param in spec:
+        if param.key in params:
+            param.check(params[param.key])
     return config
-
-
-def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
-    """Build a gate with the given eigenphases on a seeded random eigenbasis.
-
-    The same (dim, phases, seed) always produce the same matrix; with out set
-    the matrix JSON written there is byte-identical across calls.
-    """
-    dim = _require_int(dim, "dim", minimum=2)
-    seed = _require_int(seed, "seed", minimum=0, maximum=MAX_SEED - 1)
-    phases = [_require_number(p, "gate phase") for p in phases]
-    if len(phases) != dim:
-        raise ValueError(f"need exactly {dim} phases, got {len(phases)}")
-    basis = haar_random_unitary(dim, seed)
-    gate = unitary_from_eigensystem(EigenSystem(basis, wrap_phase(np.array(phases))))
-    if out is not None:
-        save_unitary(out, gate)
-    return gate
 
 
 def resolve_gate(source) -> np.ndarray:
@@ -184,96 +245,6 @@ def resolve_gate(source) -> np.ndarray:
     )
 
 
-def _branch_fidelities(branches) -> dict:
-    return {
-        label: (list(branch.fidelities) if branch.fidelities is not None else None)
-        for label, branch in branches.items()
-    }
-
-
-def _double_pe_body(gate, shots, seed, params) -> dict:
-    if gate.shape != (2, 2):
-        raise ValueError("double-pe runs on 2x2 gates")
-    report = run_double_pe(gate, params["n"], shots=shots, seed=seed)
-    flat = report.exact_joint.reshape(-1)
-    size = 2 ** report.n
-    order = np.argsort(-flat, kind="stable")
-    exact = {}
-    for index in order[:DISTRIBUTION_CAP]:
-        p = float(flat[index])
-        if p <= DISTRIBUTION_FLOOR:
-            break
-        exact[f"{int(index) // size},{int(index) % size}"] = p
-    body = {
-        "exact_distribution": exact,
-        "fidelities": {
-            f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
-        },
-        "gate_uses": report.gate_uses,
-    }
-    if shots > 0:
-        body["histogram"] = {
-            f"{za},{zb}": count for (za, zb), count in sorted(report.joint_histogram.items())
-        }
-    return body
-
-
-def _protocol_body(protocol: str, gate: np.ndarray, shots: int, seed: int, params: dict) -> dict:
-    """Run the named protocol and shape its result for the JSON report."""
-    if protocol == "tomography":
-        if shots < 1:
-            raise ValueError("tomography needs shots >= 1 (counts per setting)")
-        grid = params.get("phase_grid_size", 16)
-        est = tomography_baseline(gate, shots, seed=seed, phase_grid_size=grid)
-        return {
-            "fidelities": {},
-            "gate_uses": est.gate_uses,
-            "estimate": {
-                "p00": est.p00,
-                "p10": est.p10,
-                "relative_phase": est.relative_phase,
-                "shots_per_setting": est.shots_per_setting,
-                "phase_grid_size": est.phase_grid_size,
-            },
-        }
-    if protocol == "double-pe":
-        return _double_pe_body(gate, shots, seed, params)
-    if protocol == "qudit-minus-one":
-        if gate.shape[0] != params["d"]:
-            raise ValueError(
-                f"gate dimension {gate.shape[0]} does not match requested d={params['d']}"
-            )
-        report = run_qudit_minus_one(gate, seed=seed, shots=shots)
-        body = {
-            "exact_distribution": report.exact_distribution,
-            "fidelities": {
-                label: [branch.fidelity] for label, branch in report.branches.items()
-            },
-            "gate_uses": report.gate_uses,
-        }
-        if shots > 0:
-            body["histogram"] = report.histogram
-        return body
-
-    runners = {
-        "pm1": lambda: protocol_pm1(gate, seed=seed, shots=shots),
-        "square-trick": lambda: protocol_square_trick(gate, seed=seed, shots=shots),
-        "quartet": lambda: protocol_quartet(gate, seed=seed, shots=shots),
-        "known-phases": lambda: protocol_known_phases(
-            gate, params["theta1"], params["theta2"], seed=seed, shots=shots
-        ),
-    }
-    report = runners[protocol]()
-    body = {
-        "exact_distribution": report.exact_distribution,
-        "fidelities": _branch_fidelities(report.branches),
-        "gate_uses": report.gate_uses,
-    }
-    if shots > 0:
-        body["histogram"] = report.histogram
-    return body
-
-
 def _emit(report: dict, out_path) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out_path is None:
@@ -286,32 +257,22 @@ def _emit(report: dict, out_path) -> None:
 def run_experiment(config: dict) -> dict:
     """Validate a merged config, run its protocol, and return the report.
 
-    The report carries "meta" and "config" plus the protocol body: the exact
-    outcome distribution (when the protocol has one), per-branch fidelities,
-    the gate use count, and a histogram when shots > 0.
+    The report carries "meta" and "config" plus the protocol body (see
+    :class:`Protocol`).
     """
     config = validate_config(config)
     gate = resolve_gate(config["gate"])
-    body = _protocol_body(
-        config["protocol"], gate, config["shots"], config["seed"], config["params"]
+    body = PROTOCOLS[config["protocol"]].run(
+        gate, config["shots"], config["seed"], **config["params"]
     )
-    report = {
-        "meta": {"tool": "qsinglet", "version": __version__, "timestamp": _timestamp()},
-        "config": config,
-    }
-    report.update(body)
-    return report
+    return {"meta": _meta(), "config": config, **body}
 
 
 def _cmd_run(args) -> int:
     try:
         report = run_experiment(apply_overrides(load_config(args.config), args))
     except (ValueError, TypeError, KeyError, OSError) as exc:
-        failure = {
-            "meta": {"tool": "qsinglet", "version": __version__, "timestamp": _timestamp()},
-            "errors": [str(exc)],
-        }
-        _emit(failure, args.out)
+        _emit({"meta": _meta(), "errors": [str(exc)]}, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.out)
@@ -341,10 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shots", type=int, help="override shot count (0 = exact only)")
     run.add_argument("--seed", type=int, help="override the sampling seed")
     run.add_argument("--gate", help="override the gate with a matrix JSON file")
-    run.add_argument("--n", type=int, help="override the double-pe register size")
-    run.add_argument("--d", type=int, help="override the qudit dimension")
-    run.add_argument("--theta1", type=float, help="override the first known phase")
-    run.add_argument("--theta2", type=float, help="override the second known phase")
+    for param in FLAG_PARAMS:
+        run.add_argument(f"--{param.key}", type=param.kind, help=f"override {param.flag}")
     run.add_argument("--out", help="write the report here instead of stdout")
 
     gen = sub.add_parser("gen-gate", help="write a gate with chosen eigenphases")

@@ -55,10 +55,6 @@ class Povm:
         if np.max(np.abs(total - np.eye(dim))) > UNITARY_ATOL:
             raise ValueError("POVM elements must sum to the identity")
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
 
 def build_idp_povm(v1, v2) -> Povm:
     """Optimal unambiguous-discrimination POVM for two qubit states.
@@ -84,21 +80,6 @@ def build_idp_povm(v1, v2) -> Povm:
     e2 = scale * np.outer(perp_a, np.conjugate(perp_a))
     fail = np.eye(2) - e1 - e2
     return Povm((e1, e2, fail), ("v1", "v2", FAIL_LABEL))
-
-
-def outcome_probabilities(povm: Povm, state) -> list:
-    """Born probabilities <state|E|state> for each POVM element."""
-    v = as_amplitudes(state)
-    if v.shape != (povm.dim,):
-        raise ValueError(f"state size {v.shape} does not match POVM dimension {povm.dim}")
-    probs = [float(np.real(np.vdot(v, e @ v))) for e in povm.elements]
-    return [max(p, 0.0) for p in probs]
-
-
-def discriminate(state, povm: Povm, rng) -> str:
-    """Sample one POVM outcome label for ``state``."""
-    probs = np.array(outcome_probabilities(povm, state))
-    return povm.labels[int(rng.choice(len(probs), p=probs / probs.sum()))]
 
 
 def idp_success_probability(theta1: float, theta2: float) -> float:

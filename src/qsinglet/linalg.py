@@ -8,12 +8,34 @@ is the most significant digit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 UNITARY_ATOL = 1e-10
 TWO_PI = 2.0 * np.pi
+MAX_SEED = 2 ** 64
+
+
+def require_int(value, what: str, minimum=None, maximum=None) -> int:
+    """Return ``value`` if it is a (non-bool) int within the bounds, else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be at most {maximum}, got {value}")
+    return value
+
+
+def require_number(value, what: str) -> float:
+    """Return ``value`` as a float if it is a finite (non-bool) number, else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(float(value)):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,9 +118,6 @@ class EigenSystem:
     def vector(self, k: int) -> np.ndarray:
         return self.vectors[:, k].copy()
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.exp(1j * self.phases)
-
 
 def unitary_from_eigensystem(system: EigenSystem) -> np.ndarray:
     """Assemble ``V diag(e^{i phases}) V^dagger`` from an eigensystem."""
@@ -120,6 +139,24 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
+    """Build a gate with the given eigenphases on a seeded random eigenbasis.
+
+    The same (dim, phases, seed) always produce the same matrix; with out set
+    the matrix JSON written there is byte-identical across calls.
+    """
+    dim = require_int(dim, "dim", minimum=2)
+    seed = require_int(seed, "seed", minimum=0, maximum=MAX_SEED - 1)
+    phases = [require_number(p, "gate phase") for p in phases]
+    if len(phases) != dim:
+        raise ValueError(f"need exactly {dim} phases, got {len(phases)}")
+    basis = haar_random_unitary(dim, seed)
+    gate = unitary_from_eigensystem(EigenSystem(basis, wrap_phase(np.array(phases))))
+    if out is not None:
+        save_unitary(out, gate)
+    return gate
 
 
 DEGENERACY_ATOL = 1e-12

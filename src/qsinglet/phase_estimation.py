@@ -17,13 +17,21 @@ import numpy as np
 
 from .linalg import TWO_PI, eigendecompose_2x2_unitary, phase_distance, wrap_phase
 from .protocols import SpectrumError
-from .register import ControlledGate, State, apply_controlled, apply_unitary, plus_x, product_state
+from .register import (
+    ControlledGate,
+    State,
+    apply_controlled,
+    apply_unitary,
+    plus_x,
+    product_state,
+    sample_counts,
+    top_k,
+)
 from .singlet import make_singlet
 
 MAX_REGISTER_QUBITS = 10
 PEAK_BOUND = 2.0 / math.pi
 EXACT_BRANCH_CAP = 64
-BRANCH_PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -182,45 +190,38 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     grids = tuple(nearest_grid(float(p), n) for p in system.phases)
     gate_uses = 2 * (size - 1)
 
+    def wire(rho: np.ndarray, z: int) -> tuple:
+        """(fidelity with the matched eigenvector, match, ambiguous) of one half."""
+        fids = [float(np.real(np.vdot(system.vector(k), rho @ system.vector(k)))) for k in range(2)]
+        match = min(range(2), key=lambda k: (_wrapped_reading_distance(z, grids[k].xbar, size), k))
+        return fids[match], match, max(fids) < 0.5
+
     def analyze(z_a: int, z_b: int) -> PeBranch:
         p = float(joint[z_a, z_b])
         mat = psi[z_a, z_b] / math.sqrt(p)
-        rho_a = mat @ np.conjugate(mat).T
-        rho_b = mat.T @ np.conjugate(mat)
-        fids_a = [float(np.real(np.vdot(system.vector(k), rho_a @ system.vector(k)))) for k in range(2)]
-        fids_b = [float(np.real(np.vdot(system.vector(k), rho_b @ system.vector(k)))) for k in range(2)]
-        match_a = min(range(2), key=lambda k: (_wrapped_reading_distance(z_a, grids[k].xbar, size), k))
-        match_b = min(range(2), key=lambda k: (_wrapped_reading_distance(z_b, grids[k].xbar, size), k))
+        fid_a, match_a, ambiguous_a = wire(mat @ np.conjugate(mat).T, z_a)
+        fid_b, match_b, ambiguous_b = wire(mat.T @ np.conjugate(mat), z_b)
         return PeBranch(
             z_a=z_a,
             z_b=z_b,
             probability=p,
-            fidelity_a=fids_a[match_a],
-            fidelity_b=fids_b[match_b],
+            fidelity_a=fid_a,
+            fidelity_b=fid_b,
             match_a=match_a,
             match_b=match_b,
-            ambiguous_a=max(fids_a) < 0.5,
-            ambiguous_b=max(fids_b) < 0.5,
+            ambiguous_a=ambiguous_a,
+            ambiguous_b=ambiguous_b,
         )
 
     histogram = {}
     if shots > 0:
-        rng = np.random.default_rng(seed)
-        flat = joint.reshape(-1)
-        draws = rng.choice(flat.shape[0], size=shots, p=flat / flat.sum())
-        for d in draws:
-            key = (int(d) // size, int(d) % size)
-            histogram[key] = histogram.get(key, 0) + 1
-        picked = sorted(histogram, key=lambda zz: (-histogram[zz], zz))
+        counts, _ = sample_counts(joint, shots, seed)
+        picked = top_k(counts, None)
+        histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
     else:
-        above = np.argwhere(joint > BRANCH_PROB_FLOOR)
-        ranked = sorted(
-            ((int(za), int(zb)) for za, zb in above),
-            key=lambda zz: (-joint[zz[0], zz[1]], zz),
-        )
-        picked = ranked[:EXACT_BRANCH_CAP]
+        picked = top_k(joint, EXACT_BRANCH_CAP)
 
-    branches = tuple(analyze(z_a, z_b) for z_a, z_b in picked)
+    branches = tuple(analyze(*divmod(int(i), size)) for i in picked)
     return PeReport(
         n=n,
         eigenphases=tuple(float(p) for p in system.phases),

@@ -24,6 +24,7 @@ from .linalg import (
     wrap_phase,
 )
 from .register import (
+    PROB_FLOOR,
     ControlledGate,
     State,
     apply_controlled,
@@ -35,12 +36,12 @@ from .register import (
     outcome_distribution,
     plus_x,
     product_state,
+    sample_counts,
     x_basis,
 )
 from .singlet import make_singlet
 
 SPECTRUM_ATOL = 1e-8
-BRANCH_PROB_FLOOR = 1e-12
 
 
 class SpectrumError(ValueError):
@@ -61,9 +62,9 @@ class ProtocolReport:
     """Exact branch analysis plus sampled shots for one protocol run.
 
     ``branches`` maps outcome labels to their exact analysis;
-    ``exact_distribution`` includes zero-probability labels too. The headline
-    ``outcome_*`` fields mirror the first sampled shot and are None when
-    ``shots_used`` is 0.
+    ``exact_distribution`` includes zero-probability labels too.
+    ``outcome_label`` is the first sampled shot, None when ``shots_used`` is
+    0; its analysis is ``branches[outcome_label]``.
     """
 
     protocol: str
@@ -72,9 +73,6 @@ class ProtocolReport:
     exact_distribution: dict
     histogram: dict
     outcome_label: str | None
-    outcome_probability: float | None
-    eigenstate_fidelities: tuple | None
-    assigned_eigenphases: tuple | None
     shots_used: int
     seed: int
     gate_uses: int
@@ -88,38 +86,31 @@ def _apply_network(state: State, gates) -> tuple:
     return state, uses
 
 
-def _branch_from_collapse(state, subsystems, basis, index, wires, system, eigen_indices):
-    probability, residual = collapse(state, subsystems, basis, index)
-    fids = []
-    for wire, k in zip(wires, eigen_indices):
-        fids.append(fidelity(extract_subsystem(residual, wire), system.vector(k)))
+def _branch(probability, residual, wires, system, eigen_indices) -> BranchReport:
+    """A branch whose ``wires`` should hold the eigenvectors ``eigen_indices``."""
+    fids = tuple(
+        fidelity(extract_subsystem(residual, w), system.vector(k))
+        for w, k in zip(wires, eigen_indices)
+    )
     phases = tuple(float(system.phases[k]) for k in eigen_indices)
-    return BranchReport(probability, tuple(fids), phases)
+    return BranchReport(probability, fids, phases)
 
 
-def _sample_report(name, wires, labels, probs, branches, seed, shots, gate_uses):
-    exact = {label: float(p) for label, p in zip(labels, probs)}
+def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses):
+    """ProtocolReport over labelled outcomes, with ``shots`` seeded draws."""
     histogram = {}
     outcome = None
     if shots > 0:
-        rng = np.random.default_rng(seed)
-        weights = np.clip(np.array(probs, dtype=float), 0.0, None)
-        draws = rng.choice(len(labels), size=shots, p=weights / weights.sum())
-        histogram = {label: 0 for label in labels}
-        for d in draws:
-            histogram[labels[int(d)]] += 1
-        outcome = labels[int(draws[0])]
-    headline = branches.get(outcome) if outcome is not None else None
+        counts, first = sample_counts(probs, shots, seed)
+        histogram = {label: int(count) for label, count in zip(labels, counts)}
+        outcome = labels[first]
     return ProtocolReport(
         protocol=name,
         wires=tuple(wires),
         branches=branches,
-        exact_distribution=exact,
+        exact_distribution={label: float(p) for label, p in zip(labels, probs)},
         histogram=histogram,
         outcome_label=outcome,
-        outcome_probability=exact.get(outcome) if outcome is not None else None,
-        eigenstate_fidelities=headline.fidelities if headline else None,
-        assigned_eigenphases=headline.eigenphases if headline else None,
         shots_used=int(shots),
         seed=int(seed),
         gate_uses=int(gate_uses),
@@ -160,6 +151,28 @@ def pm1_output_state(u: np.ndarray) -> State:
     return out
 
 
+def _x_readout(name, u, powers, targets, seed, shots) -> ProtocolReport:
+    """Shared body of the two-wire protocols read out in the +-x basis.
+
+    The controlled ``powers`` of ``u`` must map its eigenphases ``targets`` to
+    {1, -1}; +x then leaves the first target's eigenstate on wire 1 and the
+    second's on wire 2, and -x swaps them.
+    """
+    system = eigendecompose_2x2_unitary(u)
+    first, second = _match_phases(system, targets)
+    state, gates = control_singlet_network(u, powers)
+    out, uses = _apply_network(state, gates)
+    basis, labels = x_basis()
+    wires = (1, 2)
+    assignment = {"+x": (first, second), "-x": (second, first)}
+    branches = {
+        label: _branch(*collapse(out, [0], basis, i), wires, system, assignment[label])
+        for i, label in enumerate(labels)
+    }
+    probs = [branches[label].probability for label in labels]
+    return labelled_report(name, wires, labels, probs, branches, seed, shots, uses)
+
+
 def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
     """Locate the +1 and -1 eigenstates of ``u`` with one controlled use.
 
@@ -167,19 +180,7 @@ def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport
     +1 eigenstate on wire 1 and the -1 eigenstate on wire 2, -x swaps them.
     Either way both output wires carry exact eigenstates.
     """
-    system = eigendecompose_2x2_unitary(u)
-    plus_idx, minus_idx = _match_phases(system, [0.0, math.pi])
-    state, gates = control_singlet_network(u, [1])
-    out, uses = _apply_network(state, gates)
-    basis, labels = x_basis()
-    wires = (1, 2)
-    assignment = {"+x": (plus_idx, minus_idx), "-x": (minus_idx, plus_idx)}
-    branches = {
-        label: _branch_from_collapse(out, [0], basis, i, wires, system, assignment[label])
-        for i, label in enumerate(labels)
-    }
-    probs = [branches[label].probability for label in labels]
-    return _sample_report("pm1", wires, labels, probs, branches, seed, shots, uses)
+    return _x_readout("pm1", u, [1], [0.0, math.pi], seed, shots)
 
 
 def protocol_square_trick(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -188,19 +189,7 @@ def protocol_square_trick(u: np.ndarray, seed: int = 0, shots: int = 1) -> Proto
     Applying the control twice squares the gate's phases to {1, -1}, which the
     +-1 protocol then separates with certainty.
     """
-    system = eigendecompose_2x2_unitary(u)
-    one_idx, i_idx = _match_phases(system, [0.0, math.pi / 2.0])
-    state, gates = control_singlet_network(u, [1, 1])
-    out, uses = _apply_network(state, gates)
-    basis, labels = x_basis()
-    wires = (1, 2)
-    assignment = {"+x": (one_idx, i_idx), "-x": (i_idx, one_idx)}
-    branches = {
-        label: _branch_from_collapse(out, [0], basis, i, wires, system, assignment[label])
-        for i, label in enumerate(labels)
-    }
-    probs = [branches[label].probability for label in labels]
-    return _sample_report("square-trick", wires, labels, probs, branches, seed, shots, uses)
+    return _x_readout("square-trick", u, [1, 1], [0.0, math.pi / 2.0], seed, shots)
 
 
 def protocol_known_phases(
@@ -240,18 +229,12 @@ def protocol_known_phases(
         perp = np.array([-np.conjugate(kill[1]), np.conjugate(kill[0])])
         rest = np.conjugate(perp) @ mat
         norm = np.linalg.norm(rest)
-        if norm <= math.sqrt(BRANCH_PROB_FLOOR):
+        if norm <= math.sqrt(PROB_FLOOR):
             continue
-        residual = State((2, 2), rest / norm)
         p = probs[list(povm.labels).index(label)]
-        fids = tuple(
-            fidelity(extract_subsystem(residual, w), system.vector(k))
-            for w, k in zip((0, 1), eigen_indices)
-        )
-        phases = tuple(float(system.phases[k]) for k in eigen_indices)
-        branches[label] = BranchReport(p, fids, phases)
+        branches[label] = _branch(p, State((2, 2), rest / norm), (0, 1), system, eigen_indices)
     branches[FAIL_LABEL] = BranchReport(probs[2])
-    return _sample_report(
+    return labelled_report(
         "known-phases", wires, list(povm.labels), probs, branches, seed, shots, uses
     )
 
@@ -322,13 +305,13 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
     branches = {}
     for index, (label, p) in enumerate(dist):
-        if p <= BRANCH_PROB_FLOOR:
+        if p <= PROB_FLOOR:
             continue
-        branches[label] = _branch_from_collapse(
-            out, [0, 1], basis, index, wires, system, eigen_for_k[index]
+        branches[label] = _branch(
+            *collapse(out, [0, 1], basis, index), wires, system, eigen_for_k[index]
         )
     probs = [p for _, p in dist]
-    return _sample_report("quartet", wires, labels, probs, branches, seed, shots, uses)
+    return labelled_report("quartet", wires, labels, probs, branches, seed, shots, uses)
 
 
 @dataclass(frozen=True)
@@ -366,21 +349,21 @@ def tomography_baseline(
     rng = np.random.default_rng(seed)
     comp, comp_labels = computational_basis(2)
 
-    probe = apply_controlled(basis_state((2, 2), (1, 0)), ControlledGate(0, 1, u))
-    p0_exact = dict(outcome_distribution(probe, [1], comp, comp_labels))["0"]
-    zeros = rng.binomial(shots_per_setting, p0_exact)
+    def p0(target: np.ndarray) -> float:
+        """Probability of reading |0> on the target after a use on |1>|target>."""
+        inp = product_state([basis_state((2,), (1,)), State((2,), target)])
+        out = apply_controlled(inp, ControlledGate(0, 1, u))
+        return dict(outcome_distribution(out, [1], comp, comp_labels))["0"]
+
+    zeros = rng.binomial(shots_per_setting, p0(np.array([1.0, 0.0], dtype=complex)))
     p00 = zeros / shots_per_setting
     p10 = (shots_per_setting - zeros) / shots_per_setting
 
     thetas = 2.0 * np.pi * np.arange(phase_grid_size) / phase_grid_size
     fringe = []
     for theta in thetas:
-        inp = product_state(
-            [basis_state((2,), (1,)), State((2,), equatorial_state(theta))]
-        )
-        out = apply_controlled(inp, ControlledGate(0, 1, u))
-        p0 = dict(outcome_distribution(out, [1], comp, comp_labels))["0"]
-        fringe.append(rng.binomial(shots_per_setting, p0) / shots_per_setting)
+        hits = rng.binomial(shots_per_setting, p0(equatorial_state(theta)))
+        fringe.append(hits / shots_per_setting)
 
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
     _, alpha, beta = np.linalg.lstsq(design, np.array(fringe), rcond=None)[0]

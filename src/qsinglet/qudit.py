@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_unitary
-from .protocols import BRANCH_PROB_FLOOR, SpectrumError
+from .protocols import ProtocolReport, SpectrumError, labelled_report
 from .register import (
+    PROB_FLOOR,
     ControlledGate,
     State,
     apply_controlled,
     collapse,
     extract_subsystem,
     fidelity,
+    fix_phase,
     outcome_distribution,
     plus_x,
     product_state,
@@ -65,12 +67,7 @@ def spectrum_check_minus_one(u: np.ndarray) -> np.ndarray:
     projector = (np.eye(d) - u) / 2.0
     column = int(np.argmax(np.linalg.norm(projector, axis=0)))
     vec = projector[:, column]
-    vec = vec / np.linalg.norm(vec)
-    for a in vec:
-        if abs(a) > 1e-9:
-            vec = vec * (np.conjugate(a) / abs(a))
-            break
-    return vec
+    return fix_phase(vec / np.linalg.norm(vec))
 
 
 def minus_one_network(u: np.ndarray):
@@ -111,42 +108,21 @@ def _located_wire(pattern_index: int, d: int) -> int | None:
 
 @dataclass(frozen=True)
 class QuditBranch:
-    """One control pattern with its exact probability and located eigenstate."""
+    """One control pattern with its exact probability and located eigenstate.
+
+    ``located_wire`` indexes the singlet parties, i.e. the report's ``wires``.
+    """
 
     probability: float
     located_wire: int
     fidelity: float
 
-
-@dataclass(frozen=True)
-class QuditReport:
-    """Exact pattern analysis plus sampled shots for the -1 location protocol."""
-
-    protocol: str
-    d: int
-    branches: dict
-    exact_distribution: dict
-    histogram: dict
-    outcome_label: str | None
-    outcome_probability: float | None
-    located_wire: int | None
-    located_fidelity: float | None
-    shots_used: int
-    seed: int
-    gate_uses: int
+    @property
+    def fidelities(self) -> tuple:
+        return (self.fidelity,)
 
 
-def exact_pattern_distribution(u: np.ndarray) -> dict:
-    """Exact Born probability of every control pattern, keyed "+x,-x,..."."""
-    spectrum_check_minus_one(u)  # enforce the spectrum precondition
-    d = u.shape[0]
-    out = minus_one_output_state(u)
-    basis, labels = x_pattern_basis(d - 1)
-    dist = outcome_distribution(out, range(d - 1), basis, labels)
-    return {label: float(p) for label, p in dist}
-
-
-def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> QuditReport:
+def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
     """Locate the -1 eigenstate of a D-dimensional involution, D in 2..5.
 
     Uses the gate D-1 times. Every allowed pattern occurs with probability
@@ -162,17 +138,13 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> QuditRe
         raise ValueError(f"gate dimension must be in 2..{MAX_QUDIT_DIM}, got {d}")
     target = spectrum_check_minus_one(u)
 
-    state, gates = minus_one_network(u)
-    uses = 0
-    for gate in gates:
-        state = apply_controlled(state, gate)
-        uses += gate.power
+    state = minus_one_output_state(u)
     basis, labels = x_pattern_basis(d - 1)
     dist = outcome_distribution(state, range(d - 1), basis, labels)
 
     branches = {}
     for index, (label, p) in enumerate(dist):
-        if p <= BRANCH_PROB_FLOOR:
+        if p <= PROB_FLOOR:
             continue
         wire = _located_wire(index, d)
         if wire is None:
@@ -184,29 +156,7 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> QuditRe
         wire_state = extract_subsystem(residual, d - 1 + wire)
         branches[label] = QuditBranch(float(p), wire, fidelity(wire_state, target))
 
-    exact = {label: float(p) for label, p in dist}
-    histogram = {}
-    outcome = None
-    if shots > 0:
-        rng = np.random.default_rng(seed)
-        probs = np.clip(np.array([p for _, p in dist]), 0.0, None)
-        draws = rng.choice(len(labels), size=shots, p=probs / probs.sum())
-        histogram = {label: 0 for label in labels}
-        for draw in draws:
-            histogram[labels[int(draw)]] += 1
-        outcome = labels[int(draws[0])]
-    headline = branches.get(outcome) if outcome is not None else None
-    return QuditReport(
-        protocol="qudit-minus-one",
-        d=d,
-        branches=branches,
-        exact_distribution=exact,
-        histogram=histogram,
-        outcome_label=outcome,
-        outcome_probability=exact.get(outcome) if outcome is not None else None,
-        located_wire=headline.located_wire if headline else None,
-        located_fidelity=headline.fidelity if headline else None,
-        shots_used=shots,
-        seed=int(seed),
-        gate_uses=uses,
-    )
+    wires = tuple(range(d - 1, 2 * d - 1))
+    probs = [p for _, p in dist]
+    # one controlled use per control qubit
+    return labelled_report("qudit-minus-one", wires, labels, probs, branches, seed, shots, d - 1)

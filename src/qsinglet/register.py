@@ -12,10 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_ATOL, require_unitary
+from .linalg import require_unitary
 
 NORM_ATOL = 1e-10
 PHASE_FIX_ATOL = 1e-9
+# outcomes at or below this Born probability are treated as never occurring
+PROB_FLOOR = 1e-12
+# draws per Generator.choice call when sampling shots
+SAMPLE_CHUNK = 1 << 16
 
 
 class EntangledSubsystemError(ValueError):
@@ -53,10 +57,6 @@ class State:
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_ATOL:g}")
 
-    @property
-    def size(self) -> int:
-        return self.amps.shape[0]
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per subsystem."""
         return self.amps.reshape(self.dims)
@@ -72,15 +72,6 @@ def digits_to_index(dims, digits) -> int:
             raise ValueError(f"digit {digit} out of range for dimension {d}")
         index = index * d + digit
     return index
-
-
-def index_to_digits(dims, index) -> tuple:
-    """Inverse of :func:`digits_to_index`."""
-    digits = []
-    for d in reversed(dims):
-        index, digit = divmod(index, d)
-        digits.append(digit)
-    return tuple(reversed(digits))
 
 
 def basis_state(dims, digits) -> State:
@@ -195,34 +186,16 @@ def apply_controlled(state: State, gate: ControlledGate) -> State:
     return apply_unitary(state, [gate.control, gate.target], controlled_matrix(u, gate.power))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One sampled measurement outcome with its post-collapse state."""
-
-    outcome_index: int
-    outcome_label: str
-    probability: float
-    residual: State
-
-
-def _basis_matrix(dims, subsystems, basis):
-    block = math.prod(dims[s] for s in subsystems)
-    b = np.asarray(basis, dtype=complex)
-    if b.ndim != 2 or b.shape != (block, block):
+def _measurement_coefficients(state: State, subsystems, basis):
+    """Rows of the basis against the state: coefficient matrix of shape (K, rest)."""
+    subsystems = _check_targets(state.dims, subsystems)
+    block = math.prod(state.dims[s] for s in subsystems)
+    b = require_unitary(basis, what="measurement basis")
+    if b.shape != (block, block):
         raise ValueError(
             f"measurement basis must be {block} orthonormal vectors of length {block}, "
             f"got shape {b.shape}"
         )
-    gram = b @ np.conjugate(b).T
-    if np.max(np.abs(gram - np.eye(block))) > UNITARY_ATOL:
-        raise ValueError("measurement basis is not orthonormal and complete within 1e-10")
-    return b
-
-
-def _measurement_coefficients(state: State, subsystems, basis):
-    """Rows of the basis against the state: coefficient matrix of shape (K, rest)."""
-    subsystems = _check_targets(state.dims, subsystems)
-    b = _basis_matrix(state.dims, subsystems, basis)
     k = len(subsystems)
     psi = np.moveaxis(state.tensor(), subsystems, range(k))
     moved_shape = psi.shape
@@ -237,18 +210,11 @@ def outcome_distribution(state: State, subsystems, basis, labels=None):
     default to the stringified basis index.
     """
     _, coeff, _, _ = _measurement_coefficients(state, subsystems, basis)
-    probs = np.sum(np.abs(coeff) ** 2, axis=1)
-    labels = _outcome_labels(labels, probs.shape[0])
-    return list(zip(labels, [float(p) for p in probs]))
-
-
-def _outcome_labels(labels, count):
-    if labels is None:
-        return [str(i) for i in range(count)]
-    labels = [str(l) for l in labels]
-    if len(labels) != count:
-        raise ValueError(f"expected {count} labels, got {len(labels)}")
-    return labels
+    probs = [float(p) for p in np.sum(np.abs(coeff) ** 2, axis=1)]
+    labels = [str(l) for l in (range(len(probs)) if labels is None else labels)]
+    if len(labels) != len(probs):
+        raise ValueError(f"expected {len(probs)} labels, got {len(labels)}")
+    return list(zip(labels, probs))
 
 
 def collapse(state: State, subsystems, basis, outcome: int):
@@ -271,17 +237,36 @@ def collapse(state: State, subsystems, basis, outcome: int):
     return p, State(state.dims, psi.reshape(-1))
 
 
-def measure(state: State, subsystems, basis, rng, labels=None) -> MeasurementRecord:
-    """Sample one projective measurement and collapse the state."""
-    _, coeff, _, _ = _measurement_coefficients(state, subsystems, basis)
-    probs = np.sum(np.abs(coeff) ** 2, axis=1)
-    labels = _outcome_labels(labels, probs.shape[0])
-    total = probs.sum()
-    if abs(total - 1.0) > NORM_ATOL:
-        raise ValueError("measurement probabilities do not sum to 1")
-    outcome = int(rng.choice(probs.shape[0], p=probs / total))
-    p, residual = collapse(state, subsystems, basis, outcome)
-    return MeasurementRecord(outcome, labels[outcome], p, residual)
+def sample_counts(probs, shots: int, seed: int):
+    """Draw ``shots`` seeded outcomes from a distribution; return (counts, first).
+
+    ``counts[i]`` is how often flat outcome ``i`` was drawn and ``first`` the
+    first draw (None when ``shots`` is 0). Draws come from
+    ``default_rng(seed).choice`` in chunks of ``SAMPLE_CHUNK``: each draw
+    consumes one uniform, so the result equals a single ``choice(size=shots)``
+    call while memory stays bounded by the chunk.
+    """
+    p = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
+    p /= p.sum()
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(p.shape[0], dtype=np.int64)
+    first = None
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.choice(p.shape[0], size=min(SAMPLE_CHUNK, shots - start), p=p)
+        if first is None:
+            first = int(draws[0])
+        counts += np.bincount(draws, minlength=p.shape[0])
+    return counts, first
+
+
+def top_k(probs, cap) -> np.ndarray:
+    """Flat indices of the at most ``cap`` largest entries above PROB_FLOOR.
+
+    Largest first, ties in flat index order; ``cap=None`` keeps them all.
+    """
+    flat = np.asarray(probs).reshape(-1)
+    above = np.flatnonzero(flat > PROB_FLOOR)
+    return above[np.argsort(-flat[above], kind="stable")[:cap]]
 
 
 def extract_subsystem(state: State, subsystem: int) -> State:
@@ -302,12 +287,16 @@ def extract_subsystem(state: State, subsystem: int) -> State:
             f"subsystem {subsystem} is entangled with the rest "
             f"(largest Schmidt coefficient {svals[0]!r})"
         )
-    vec = left[:, 0]
+    return State((d,), fix_phase(left[:, 0]))
+
+
+def fix_phase(vec: np.ndarray) -> np.ndarray:
+    """``vec`` with its first amplitude above 1e-9 in magnitude rotated to the
+    positive real axis, so repeated computations agree on a global phase."""
     for a in vec:
         if abs(a) > PHASE_FIX_ATOL:
-            vec = vec * (np.conjugate(a) / abs(a))
-            break
-    return State((d,), vec)
+            return vec * (np.conjugate(a) / abs(a))
+    return vec
 
 
 def plus_x() -> np.ndarray:

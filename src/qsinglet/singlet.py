@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import EigenSystem, require_unitary
-from .register import State, apply_unitary, digits_to_index
+from .register import State, digits_to_index
 
 
 def permutation_parity(perm) -> int:
@@ -42,40 +41,3 @@ def make_singlet(d: int) -> State:
         amps[digits_to_index(dims, perm)] = permutation_parity(perm) * scale
     return State(dims, amps)
 
-
-def _apply_everywhere(state: State, v: np.ndarray) -> State:
-    for k in range(len(state.dims)):
-        state = apply_unitary(state, [k], v)
-    return state
-
-
-def transform_invariance_defect(d: int, v: np.ndarray):
-    """Best-fit global phase of V applied to every singlet party, plus residual.
-
-    Returns
-    -------
-    phase : complex
-        Overlap <singlet| V^(x D) |singlet>, the least-squares global factor.
-        For any unitary V this equals det(V) up to the returned defect.
-    defect : float
-        Norm of ``V^(x D)|singlet> - phase * |singlet>``.
-    """
-    v = require_unitary(v, what="subsystem transform")
-    if v.shape != (d, d):
-        raise ValueError(f"transform must be {d}x{d}, got {v.shape}")
-    reference = make_singlet(d)
-    moved = _apply_everywhere(reference, v)
-    phase = complex(np.vdot(reference.amps, moved.amps))
-    defect = float(np.linalg.norm(moved.amps - phase * reference.amps))
-    return phase, defect
-
-
-def singlet_in_eigenbasis(d: int, system: EigenSystem) -> State:
-    """Singlet expanded over an eigenbasis: sum of signed eigenvector products.
-
-    Equals ``det(V)`` times :func:`make_singlet` of the same size, with V the
-    eigenvector matrix.
-    """
-    if system.dim != d:
-        raise ValueError(f"eigenbasis dimension {system.dim} does not match d={d}")
-    return _apply_everywhere(make_singlet(d), system.vectors)

@@ -1,12 +1,17 @@
 """Tests for the command line runner and its JSON report contract."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import qsinglet
 from qsinglet.cli import (
     PROTOCOLS,
     apply_overrides,
@@ -19,6 +24,8 @@ from qsinglet.cli import (
     validate_config,
 )
 from qsinglet.linalg import load_unitary, save_unitary
+from qsinglet.phase_estimation import MAX_REGISTER_QUBITS
+from qsinglet.qudit import MAX_QUDIT_DIM
 
 SCHEMA = json.loads(
     resources.files("qsinglet").joinpath("report_schema.json").read_text()
@@ -311,3 +318,53 @@ class TestMain:
             run_cli(["run", "--config", "c.json", "--protocol", "bogus"])
         with pytest.raises(SystemExit):
             run_cli([])
+
+
+class TestProtocolTable:
+    def test_schema_protocols_and_param_bounds_match_the_table(self):
+        config = SCHEMA["properties"]["config"]["properties"]
+        assert config["protocol"]["enum"] == list(PROTOCOLS)
+        schema_params = config["params"]["properties"]
+        table = {p.key: p for protocol in PROTOCOLS.values() for p in protocol.params}
+        assert set(schema_params) == set(table)
+        for key, param in table.items():
+            entry = schema_params[key]
+            assert entry["type"] == {int: "integer", float: "number"}[param.kind]
+            assert entry.get("minimum") == param.minimum
+            assert entry.get("maximum") == param.maximum
+        assert table["n"].maximum == MAX_REGISTER_QUBITS
+        assert table["d"].maximum == MAX_QUDIT_DIM
+        grid = SCHEMA["properties"]["estimate"]["properties"]["phase_grid_size"]
+        assert (grid["minimum"], grid["maximum"]) == (3, 1024)
+        assert (table["phase_grid_size"].minimum, table["phase_grid_size"].maximum) == (3, 1024)
+
+    def test_phase_grid_size_is_bounded(self, tmp_path, capsys):
+        config = dict(PROTOCOL_CONFIGS["tomography"], params={"phase_grid_size": 1024})
+        assert validate_config(config) is config
+        path = write_config(tmp_path, dict(config, params={"phase_grid_size": 1025}))
+        assert run_cli(["run", "--config", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["errors"] == ["phase_grid_size must be at most 1024, got 1025"]
+
+    def test_override_flags_come_from_the_table(self, tmp_path):
+        path = write_config(tmp_path, PM1_CONFIG)
+        args = build_parser().parse_args(
+            ["run", "--config", path, "--protocol", "known-phases",
+             "--theta1", "0.5", "--theta2", "2", "--d", "3"]
+        )
+        merged = apply_overrides(load_config(path), args)
+        assert merged["params"] == {"theta1": 0.5, "theta2": 2.0, "d": 3}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--config", path, "--phase_grid_size", "4"])
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(qsinglet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qsinglet.cli", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: qsinglet" in result.stdout

@@ -7,13 +7,17 @@ from qsinglet.discrimination import (
     FAIL_LABEL,
     Povm,
     build_idp_povm,
-    discriminate,
     equatorial_state,
     idp_success_probability,
-    outcome_probabilities,
 )
+from qsinglet.register import sample_counts
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def born(povm, v):
+    """Born probability <v|E|v> of each POVM element."""
+    return [float(np.real(np.vdot(v, e @ v))) for e in povm.elements]
 
 
 def test_equatorial_state_frozen():
@@ -62,8 +66,8 @@ def test_success_probability_matches_povm(delta):
     v1 = equatorial_state(0.0)
     v2 = equatorial_state(delta)
     povm = build_idp_povm(v1, v2)
-    p1 = outcome_probabilities(povm, v1)
-    p2 = outcome_probabilities(povm, v2)
+    p1 = born(povm, v1)
+    p2 = born(povm, v2)
     expected = idp_success_probability(0.0, delta)
     assert abs(p1[0] - expected) < 1e-12
     assert abs(p2[1] - expected) < 1e-12
@@ -86,19 +90,18 @@ def test_discriminate_never_wrong():
     v1 = equatorial_state(0.0)
     v2 = equatorial_state(2.0)
     povm = build_idp_povm(v1, v2)
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        assert discriminate(v1, povm, rng) in ("v1", FAIL_LABEL)
-        assert discriminate(v2, povm, rng) in ("v2", FAIL_LABEL)
+    for state, wrong in ((v1, "v2"), (v2, "v1")):
+        counts, _ = sample_counts(born(povm, state), 200, 8)
+        assert counts[povm.labels.index(wrong)] == 0
 
 
 def test_discriminate_conclusive_rate():
     v1 = equatorial_state(0.0)
     v2 = equatorial_state(np.pi / 2)
     povm = build_idp_povm(v1, v2)
-    rng = np.random.default_rng(15)
     n = 5000
-    wins = sum(discriminate(v1, povm, rng) == "v1" for _ in range(n))
+    counts, _ = sample_counts(born(povm, v1), n, 15)
+    wins = int(counts[povm.labels.index("v1")])
     p = idp_success_probability(0.0, np.pi / 2)
     sigma = np.sqrt(p * (1.0 - p) / n)
     assert abs(wins / n - p) < 5.0 * sigma

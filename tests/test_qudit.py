@@ -7,7 +7,6 @@ from qsinglet.linalg import haar_random_unitary
 from qsinglet.protocols import SpectrumError
 from qsinglet.qudit import (
     MAX_QUDIT_DIM,
-    exact_pattern_distribution,
     householder_reflection,
     minus_one_output_state,
     run_qudit_minus_one,
@@ -70,7 +69,7 @@ def test_spectrum_check_rejections():
 
 
 def test_exact_pattern_distribution_frozen_d3():
-    dist = exact_pattern_distribution(np.diag([1.0, 1.0, -1.0]))
+    dist = run_qudit_minus_one(np.diag([1.0, 1.0, -1.0]), shots=0).exact_distribution
     assert set(dist) == {"+x,+x", "+x,-x", "-x,+x", "-x,-x"}
     third = 1.0 / 3.0
     assert abs(dist["+x,+x"] - third) <= 1e-12
@@ -82,7 +81,7 @@ def test_exact_pattern_distribution_frozen_d3():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_patterns_uniform_over_allowed(d):
     u = householder_reflection(random_direction(d, 5 + d))
-    dist = exact_pattern_distribution(u)
+    dist = run_qudit_minus_one(u, shots=0).exact_distribution
     assert len(dist) == 2 ** (d - 1)
     allowed = [label for label, p in dist.items() if p > 1e-12]
     assert len(allowed) == d
@@ -95,7 +94,7 @@ def test_patterns_uniform_over_allowed(d):
 def test_located_wire_holds_the_eigenvector(d):
     u, target = rotated_diag_fixture(d, 7 * d)
     report = run_qudit_minus_one(u, shots=0)
-    assert report.d == d
+    assert report.wires == tuple(range(d - 1, 2 * d - 1))
     assert report.gate_uses == d - 1
     assert len(report.branches) == d
     seen_wires = set()
@@ -127,9 +126,8 @@ def test_sampling_histogram_and_headline():
     assert a.histogram == b.histogram
     assert sum(a.histogram.values()) == 500
     assert a.outcome_label in a.branches
-    assert a.located_wire == a.branches[a.outcome_label].located_wire
-    assert a.located_fidelity == a.branches[a.outcome_label].fidelity
-    assert abs(a.outcome_probability - 1.0 / 3.0) <= 1e-12
+    assert a.branches[a.outcome_label].fidelities == (a.branches[a.outcome_label].fidelity,)
+    assert abs(a.exact_distribution[a.outcome_label] - 1.0 / 3.0) <= 1e-12
 
 
 def test_zero_shots_skips_sampling():
@@ -137,7 +135,7 @@ def test_zero_shots_skips_sampling():
     report = run_qudit_minus_one(u, shots=0)
     assert report.histogram == {}
     assert report.outcome_label is None
-    assert report.located_wire is None
+    assert report.shots_used == 0
 
 
 def test_output_state_layout():

@@ -24,12 +24,11 @@ from qsinglet.register import (
     digits_to_index,
     extract_subsystem,
     fidelity,
-    index_to_digits,
-    measure,
     minus_x,
     outcome_distribution,
     plus_x,
     product_state,
+    sample_counts,
     x_basis,
     x_pattern_basis,
 )
@@ -71,7 +70,7 @@ def random_state(dims, seed):
 def test_digit_index_roundtrip(dims, digits):
     index = digits_to_index(dims, digits)
     assert index == int(np.ravel_multi_index(digits, dims))
-    assert index_to_digits(dims, index) == tuple(digits)
+    assert tuple(int(x) for x in np.unravel_index(index, dims)) == tuple(digits)
 
 
 def test_digits_to_index_rejects_out_of_range():
@@ -231,21 +230,24 @@ def test_collapse_rejects_zero_probability_branch():
 def test_measure_is_seeded_and_consistent():
     state = random_state((2, 2), 30)
     basis, labels = x_basis()
-    rec_a = measure(state, [0], basis, np.random.default_rng(0), labels)
-    rec_b = measure(state, [0], basis, np.random.default_rng(0), labels)
-    assert rec_a.outcome_index == rec_b.outcome_index
-    assert rec_a.outcome_label in labels
-    assert 0.0 < rec_a.probability <= 1.0
-    np.testing.assert_allclose(rec_a.residual.amps, rec_b.residual.amps)
+    probs = [p for _, p in outcome_distribution(state, [0], basis, labels)]
+    counts_a, first_a = sample_counts(probs, 1, 0)
+    counts_b, first_b = sample_counts(probs, 1, 0)
+    assert first_a == first_b
+    assert counts_a.tolist() == counts_b.tolist() and counts_a[first_a] == 1
+    p_a, residual_a = collapse(state, [0], basis, first_a)
+    p_b, residual_b = collapse(state, [0], basis, first_b)
+    assert 0.0 < p_a <= 1.0 and p_a == p_b
+    np.testing.assert_allclose(residual_a.amps, residual_b.amps)
 
 
 def test_measure_frequencies_track_born_rule():
     state = random_state((2,), 17)
     basis, labels = computational_basis(2)
     exact = dict(outcome_distribution(state, [0], basis, labels))
-    rng = np.random.default_rng(99)
     n = 4000
-    hits = sum(measure(state, [0], basis, rng, labels).outcome_label == "0" for _ in range(n))
+    counts, _ = sample_counts([exact[label] for label in labels], n, 99)
+    hits = int(counts[labels.index("0")])
     sigma = math.sqrt(exact["0"] * (1.0 - exact["0"]) / n)
     assert abs(hits / n - exact["0"]) < 5.0 * sigma
 

@@ -1,0 +1,111 @@
+"""Tests for the shared shot sampler and top-K ranking helper."""
+
+import math
+
+import numpy as np
+import pytest
+
+from qsinglet import register
+from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
+from qsinglet.phase_estimation import run_double_pe
+from qsinglet.protocols import protocol_known_phases
+from qsinglet.register import PROB_FLOOR, sample_counts, top_k
+
+
+def single_call(probs, shots, seed):
+    """Oracle: one unchunked Generator.choice call, counted in Python."""
+    weights = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
+    draws = np.random.default_rng(seed).choice(
+        weights.shape[0], size=shots, p=weights / weights.sum()
+    )
+    counts = [0] * weights.shape[0]
+    for d in draws:
+        counts[int(d)] += 1
+    return counts, int(draws[0])
+
+
+class RecordingRng:
+    """Generator stand-in that records the size of every choice call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.sizes = []
+
+    def choice(self, *args, size, **kwargs):
+        self.sizes.append(size)
+        return self.rng.choice(*args, size=size, **kwargs)
+
+
+def test_chunked_sampler_matches_single_call(monkeypatch):
+    monkeypatch.setattr(register, "SAMPLE_CHUNK", 7)
+    probs = [0.1, 0.0, 0.25, 0.65, 0.0]
+    for shots in (1, 7, 22, 100):
+        counts, first = sample_counts(probs, shots, 12)
+        assert (counts.tolist(), first) == single_call(probs, shots, 12)
+    counts, first = sample_counts(probs, 0, 12)
+    assert counts.tolist() == [0] * 5 and first is None
+
+
+def test_sampler_draws_at_most_one_chunk_per_call(monkeypatch):
+    monkeypatch.setattr(register, "SAMPLE_CHUNK", 1000)
+    recorders = []
+    real_default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        recorders.append(RecordingRng(real_default_rng(seed)))
+        return recorders[-1]
+
+    monkeypatch.setattr(register.np.random, "default_rng", recording_rng)
+    counts, _ = sample_counts([0.5, 0.5], 10_500, 3)
+    (rec,) = recorders
+    assert rec.sizes == [1000] * 10 + [500]
+    assert int(counts.sum()) == 10_500
+
+
+def test_labelled_protocol_histogram_is_chunk_independent(monkeypatch):
+    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(2, 5), np.array([0.4, 2.2])))
+    whole = protocol_known_phases(u, 0.4, 2.2, seed=44, shots=50)
+    monkeypatch.setattr(register, "SAMPLE_CHUNK", 16)
+    chunked = protocol_known_phases(u, 0.4, 2.2, seed=44, shots=50)
+    labels = list(chunked.exact_distribution)
+    counts, first = single_call(list(chunked.exact_distribution.values()), 50, 44)
+    assert chunked.histogram == dict(zip(labels, counts)) == whole.histogram
+    assert chunked.outcome_label == labels[first] == whole.outcome_label
+
+
+def test_double_pe_histogram_is_chunk_independent(monkeypatch):
+    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(2, 6), np.array([0.7, 2.9])))
+    whole = run_double_pe(u, 3, shots=100, seed=5)
+    monkeypatch.setattr(register, "SAMPLE_CHUNK", 30)
+    chunked = run_double_pe(u, 3, shots=100, seed=5)
+    counts, first = single_call(chunked.exact_joint, 100, 5)
+    expected = {divmod(i, 8): c for i, c in enumerate(counts) if c}
+    assert chunked.joint_histogram == expected == whole.joint_histogram
+    ranked = sorted(expected, key=lambda zz: (-expected[zz], zz))
+    assert [(b.z_a, b.z_b) for b in chunked.branches] == ranked
+    assert divmod(first, 8) in expected
+
+
+def ranking_oracle(joint, cap):
+    flat = joint.reshape(-1)
+    above = [i for i in range(flat.shape[0]) if flat[i] > PROB_FLOOR]
+    return sorted(above, key=lambda i: (-flat[i], i))[:cap]
+
+
+@pytest.mark.parametrize("cap", [64, 4096, None])
+def test_top_k_matches_sorted_oracle(cap):
+    rng = np.random.default_rng(9)
+    # few distinct values so ties are everywhere, plus entries at, just above
+    # and below the floor
+    values = np.array([0.0, PROB_FLOOR, 2 * PROB_FLOOR, 0.5 * PROB_FLOOR, 1e-6, 3e-5, 3e-5 + 1e-17])
+    joint = rng.choice(values, size=(96, 96))
+    got = top_k(joint, cap).tolist()
+    assert got == ranking_oracle(joint, cap)
+    assert len(got) == min(cap or math.inf, int(np.count_nonzero(joint > PROB_FLOOR)))
+    assert all(joint.reshape(-1)[i] > PROB_FLOOR for i in got)
+
+
+def test_top_k_on_counts_orders_by_count_then_index():
+    counts = np.array([0, 3, 1, 3, 0, 5, 1])
+    assert top_k(counts, None).tolist() == [5, 1, 3, 2, 6]
+    assert top_k(counts, 2).tolist() == [5, 1]

@@ -6,14 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qsinglet.linalg import EigenSystem, haar_random_unitary
+from qsinglet.linalg import haar_random_unitary
 from qsinglet.register import apply_unitary, digits_to_index, fidelity
-from qsinglet.singlet import (
-    make_singlet,
-    permutation_parity,
-    singlet_in_eigenbasis,
-    transform_invariance_defect,
-)
+from qsinglet.singlet import make_singlet, permutation_parity
 
 # Levi-Civita signs for every permutation of three items
 EPSILON_3 = {
@@ -89,36 +84,36 @@ def test_singlet_rejects_tiny():
         make_singlet(1)
 
 
+def apply_everywhere(state, v):
+    """V applied to every party of the register."""
+    for k in range(len(state.dims)):
+        state = apply_unitary(state, [k], v)
+    return state
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_collective_rotation_scales_by_determinant(d, seed):
     v = haar_random_unitary(d, seed=10 * d + seed)
-    phase, defect = transform_invariance_defect(d, v)
-    assert defect < 1e-9
+    reference = make_singlet(d)
+    moved = apply_everywhere(reference, v)
+    phase = complex(np.vdot(reference.amps, moved.amps))
+    assert np.linalg.norm(moved.amps - phase * reference.amps) < 1e-9
     assert abs(phase - np.linalg.det(v)) < 1e-9
     assert abs(abs(phase) - 1.0) < 1e-9
 
 
-def test_invariance_defect_checks_shape():
-    with pytest.raises(ValueError):
-        transform_invariance_defect(3, haar_random_unitary(2, 0))
-    with pytest.raises(ValueError):
-        transform_invariance_defect(2, 1.5 * np.eye(2))
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_singlet_in_eigenbasis_matches_partywise_application(d):
+    """Expanding the singlet over the columns of V (signed products of basis
+    vectors, an independent construction) equals V on every party."""
     v = haar_random_unitary(d, seed=77 + d)
-    system = EigenSystem(v, np.zeros(d))
-    got = singlet_in_eigenbasis(d, system)
-    expected = make_singlet(d)
-    for k in range(d):
-        expected = apply_unitary(expected, [k], v)
-    np.testing.assert_allclose(got.amps, expected.amps, atol=1e-12)
+    expanded = np.zeros(d ** d, dtype=complex)
+    for perm in itertools.permutations(range(d)):
+        term = np.array([1.0], dtype=complex)
+        for k in perm:
+            term = np.kron(term, v[:, k])
+        expanded += inversion_parity(perm) * term / math.sqrt(math.factorial(d))
+    got = apply_everywhere(make_singlet(d), v)
+    np.testing.assert_allclose(got.amps, expanded, atol=1e-12)
     assert fidelity(got, make_singlet(d)) > 1.0 - 1e-9
-
-
-def test_singlet_in_eigenbasis_dimension_check():
-    system = EigenSystem(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        singlet_in_eigenbasis(3, system)
