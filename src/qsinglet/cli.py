@@ -239,6 +239,8 @@ def resolve_gate(source) -> np.ndarray:
     if set(source) == {"dim", "phases", "seed"}:
         if not isinstance(source["phases"], list):
             raise ValueError("gate phases must be a list")
+        # no protocol runs a larger gate; refuse it before allocating one
+        require_int(source["dim"], "dim", minimum=2, maximum=MAX_QUDIT_DIM)
         return generate_gate(source["dim"], source["phases"], source["seed"])
     raise ValueError(
         "gate source must be {'file': path} or {'dim': ..., 'phases': [...], 'seed': ...}"
@@ -271,7 +273,7 @@ def run_experiment(config: dict) -> dict:
 def _cmd_run(args) -> int:
     try:
         report = run_experiment(apply_overrides(load_config(args.config), args))
-    except (ValueError, TypeError, KeyError, OSError) as exc:
+    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
         _emit({"meta": _meta(), "errors": [str(exc)]}, args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -282,7 +284,7 @@ def _cmd_run(args) -> int:
 def _cmd_gen_gate(args) -> int:
     try:
         generate_gate(args.dim, args.phases, args.seed, out=args.out)
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {args.dim}x{args.dim} gate to {args.out}")

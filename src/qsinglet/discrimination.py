@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_ATOL, dagger
+from .linalg import UNITARY_ATOL, dagger, qubit_perp
 from .register import as_amplitudes
 
 FAIL_LABEL = "fail"
@@ -21,11 +21,6 @@ FAIL_LABEL = "fail"
 def equatorial_state(theta: float) -> np.ndarray:
     """Qubit state (|0> + e^{i theta}|1>)/sqrt(2)."""
     return np.array([1.0, np.exp(1j * float(theta))], dtype=complex) / np.sqrt(2.0)
-
-
-def _perp(v: np.ndarray) -> np.ndarray:
-    """The unique (up to phase) qubit state orthogonal to ``v``."""
-    return np.array([-np.conjugate(v[1]), np.conjugate(v[0])])
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,8 @@ def build_idp_povm(v1, v2) -> Povm:
     if overlap > 1.0 - 1e-12:
         raise ValueError("states must be linearly independent to discriminate")
     scale = 1.0 / (1.0 + overlap)
-    perp_b = _perp(b)
-    perp_a = _perp(a)
+    perp_b = qubit_perp(b)
+    perp_a = qubit_perp(a)
     e1 = scale * np.outer(perp_b, np.conjugate(perp_b))
     e2 = scale * np.outer(perp_a, np.conjugate(perp_a))
     fail = np.eye(2) - e1 - e2

@@ -48,6 +48,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m).T
 
 
+def qubit_perp(v: np.ndarray) -> np.ndarray:
+    """The qubit state orthogonal to ``v``, unique up to phase: (-v1*, v0*)."""
+    return np.array([-np.conjugate(v[1]), np.conjugate(v[0])])
+
+
 def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     """Check whether ``m`` is unitary within ``atol``.
 
@@ -188,7 +193,7 @@ def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
     v1 = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
     v1 = v1 / np.linalg.norm(v1)
     # a 2x2 unitary is normal, so the second eigenvector is the orthogonal complement
-    v2 = np.array([-np.conjugate(v1[1]), np.conjugate(v1[0])])
+    v2 = qubit_perp(v1)
     phases = wrap_phase(np.angle(np.array([lam1, lam2])))
     return EigenSystem(np.column_stack([v1, v2]), phases)
 

@@ -15,19 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TWO_PI, eigendecompose_2x2_unitary, phase_distance, wrap_phase
-from .protocols import SpectrumError
-from .register import (
-    ControlledGate,
-    State,
-    apply_controlled,
-    apply_unitary,
-    plus_x,
-    product_state,
-    sample_counts,
-    top_k,
-)
-from .singlet import make_singlet
+from .linalg import TWO_PI, phase_distance, wrap_phase
+from .protocols import SPECTRUM_ATOL, SpectrumError, distinct_eigensystem
+from .register import State, apply_controlled, apply_unitary, sample_counts, top_k
+from .singlet import singlet_network
 
 MAX_REGISTER_QUBITS = 10
 PEAK_BOUND = 2.0 / math.pi
@@ -130,29 +121,18 @@ class PeReport:
     gate_uses: int
 
 
-def _ladder_network(u: np.ndarray, n: int):
-    """Input state and controlled-power ladder of the double estimation circuit.
-
-    Register layout: qubits 0..n-1 count for singlet half A (qubit 0 is the
-    most significant digit of the reading), qubits n..2n-1 count for half B,
-    subsystems 2n and 2n+1 hold the singlet.
-    """
-    plus = State((2,), plus_x())
-    state = product_state([plus] * (2 * n) + [make_singlet(2)])
-    gates = []
-    for k in range(n):
-        power = 2 ** (n - 1 - k)
-        gates.append(ControlledGate(k, 2 * n, u, power))
-        gates.append(ControlledGate(n + k, 2 * n + 1, u, power))
-    return state, gates
-
-
 def double_pe_output_state(u: np.ndarray, n: int) -> State:
-    """Pre-measurement state: ladders applied, both registers Fourier-inverted."""
+    """Pre-measurement state: ladders applied, both registers Fourier-inverted.
+
+    Qubits 0..n-1 count for singlet half A (qubit 0 is the most significant
+    digit of the reading) and qubits n..2n-1 for half B; counting qubit k of
+    each register applies the gate to the power 2^(n-1-k), A before B.
+    """
     n = int(n)
     if not 1 <= n <= MAX_REGISTER_QUBITS:
         raise ValueError(f"register size must be in 1..{MAX_REGISTER_QUBITS}, got {n}")
-    state, gates = _ladder_network(u, n)
+    ladder = [(half * n + k, half, 2 ** (n - 1 - k)) for k in range(n) for half in (0, 1)]
+    state, gates = singlet_network(u, ladder)
     for gate in gates:
         state = apply_controlled(state, gate)
     state = inverse_qft(state, range(n))
@@ -177,10 +157,8 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     shots = int(shots)
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    system = eigendecompose_2x2_unitary(u)
-    if system.degenerate:
-        raise SpectrumError("gate spectrum is degenerate")
-    if phase_distance(float(system.phases[0]), float(system.phases[1])) <= 1e-8:
+    system = distinct_eigensystem(u)
+    if phase_distance(float(system.phases[0]), float(system.phases[1])) <= SPECTRUM_ATOL:
         raise SpectrumError("eigenphases must be distinct")
 
     out = double_pe_output_state(u, n)

@@ -20,6 +20,7 @@ from .linalg import (
     EigenSystem,
     eigendecompose_2x2_unitary,
     phase_distance,
+    qubit_perp,
     require_unitary,
     wrap_phase,
 )
@@ -34,12 +35,11 @@ from .register import (
     extract_subsystem,
     fidelity,
     outcome_distribution,
-    plus_x,
     product_state,
     sample_counts,
-    x_basis,
+    x_pattern_basis,
 )
-from .singlet import make_singlet
+from .singlet import singlet_network
 
 SPECTRUM_ATOL = 1e-8
 
@@ -117,10 +117,30 @@ def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses
     )
 
 
-def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> list:
-    """Bijection from required phases to eigenvector indices, or SpectrumError."""
+def readout(out: State, measured, basis, labels, branch) -> tuple:
+    """Exact probabilities of reading ``measured`` in ``basis``, in basis order,
+    and ``branch(index, p, residual)`` for each outcome above PROB_FLOOR, keyed
+    by label, with ``residual`` the state collapsed onto that outcome."""
+    dist = outcome_distribution(out, measured, basis, labels)
+    branches = {}
+    for index, (label, p) in enumerate(dist):
+        if p <= PROB_FLOOR:
+            continue
+        _, residual = collapse(out, measured, basis, index)
+        branches[label] = branch(index, p, residual)
+    return [p for _, p in dist], branches
+
+
+def distinct_eigensystem(u: np.ndarray) -> EigenSystem:
+    """Eigendecomposition of a 2x2 gate, or SpectrumError if it is degenerate."""
+    system = eigendecompose_2x2_unitary(u)
     if system.degenerate:
         raise SpectrumError("gate spectrum is degenerate")
+    return system
+
+
+def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> list:
+    """Bijection from required phases to eigenvector indices, or SpectrumError."""
     remaining = list(range(system.dim))
     matched = []
     for target in targets:
@@ -136,18 +156,14 @@ def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> 
 
 
 def control_singlet_network(u: np.ndarray, powers) -> tuple:
-    """Input |+x> (x) singlet and the controlled gates shared by the two-wire
-    protocols: one ControlledGate on (control 0, target 1) per entry of
-    ``powers``."""
-    state = product_state([State((2,), plus_x()), make_singlet(2)])
-    gates = [ControlledGate(0, 1, u, power) for power in powers]
-    return state, gates
+    """Network of the two-wire protocols: one control qubit applying each of
+    ``powers`` in turn to the first singlet party."""
+    return singlet_network(u, [(0, 0, power) for power in powers])
 
 
 def pm1_output_state(u: np.ndarray) -> State:
     """Pre-measurement three-qubit state of the +-1 protocol."""
-    state, gates = control_singlet_network(u, [1])
-    out, _ = _apply_network(state, gates)
+    out, _ = _apply_network(*control_singlet_network(u, [1]))
     return out
 
 
@@ -158,18 +174,16 @@ def _x_readout(name, u, powers, targets, seed, shots) -> ProtocolReport:
     {1, -1}; +x then leaves the first target's eigenstate on wire 1 and the
     second's on wire 2, and -x swaps them.
     """
-    system = eigendecompose_2x2_unitary(u)
+    system = distinct_eigensystem(u)
     first, second = _match_phases(system, targets)
-    state, gates = control_singlet_network(u, powers)
-    out, uses = _apply_network(state, gates)
-    basis, labels = x_basis()
+    out, uses = _apply_network(*control_singlet_network(u, powers))
+    basis, labels = x_pattern_basis(1)
     wires = (1, 2)
-    assignment = {"+x": (first, second), "-x": (second, first)}
-    branches = {
-        label: _branch(*collapse(out, [0], basis, i), wires, system, assignment[label])
-        for i, label in enumerate(labels)
-    }
-    probs = [branches[label].probability for label in labels]
+    assignment = ((first, second), (second, first))
+    probs, branches = readout(
+        out, [0], basis, labels,
+        lambda i, p, residual: _branch(p, residual, wires, system, assignment[i]),
+    )
     return labelled_report(name, wires, labels, probs, branches, seed, shots, uses)
 
 
@@ -206,10 +220,9 @@ def protocol_known_phases(
     theta2 = wrap_phase(float(theta2))
     if phase_distance(theta1, theta2) <= SPECTRUM_ATOL:
         raise ValueError("theta1 and theta2 must differ")
-    system = eigendecompose_2x2_unitary(u)
+    system = distinct_eigensystem(u)
     idx1, idx2 = _match_phases(system, [theta1, theta2])
-    state, gates = control_singlet_network(u, [1])
-    out, uses = _apply_network(state, gates)
+    out, uses = _apply_network(*control_singlet_network(u, [1]))
     wires = (1, 2)
 
     v1 = equatorial_state(theta1)
@@ -226,8 +239,7 @@ def protocol_known_phases(
         ("v1", v2, (idx1, idx2)),
         ("v2", v1, (idx2, idx1)),
     ):
-        perp = np.array([-np.conjugate(kill[1]), np.conjugate(kill[0])])
-        rest = np.conjugate(perp) @ mat
+        rest = np.conjugate(qubit_perp(kill)) @ mat
         norm = np.linalg.norm(rest)
         if norm <= math.sqrt(PROB_FLOOR):
             continue
@@ -258,19 +270,14 @@ def eta_basis():
     return np.stack(vectors), labels
 
 
-def quartet_network(u: np.ndarray) -> tuple:
-    """Input and gates of the four-outcome protocol: two control qubits, a
-    singlet on wires (2, 3), one controlled gate and one controlled square."""
-    plus = State((2,), plus_x())
-    state = product_state([plus, plus, make_singlet(2)])
-    gates = [ControlledGate(1, 2, u, 1), ControlledGate(0, 2, u, 2)]
-    return state, gates
+# two control qubits on the first singlet party (wire 2): control 1 applies
+# the gate, control 0 its square
+QUARTET_WIRING = ((1, 0, 1), (0, 0, 2))
 
 
 def quartet_output_state(u: np.ndarray) -> State:
     """Pre-measurement four-qubit state of the quartet protocol."""
-    state, gates = quartet_network(u)
-    out, _ = _apply_network(state, gates)
+    out, _ = _apply_network(*singlet_network(u, QUARTET_WIRING))
     return out
 
 
@@ -281,9 +288,7 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     qubits; reading them in the eta basis names one eigenvalue exactly. Wire 2
     carries the named eigenvalue's eigenstate, wire 3 the other one.
     """
-    system = eigendecompose_2x2_unitary(u)
-    if system.degenerate:
-        raise SpectrumError("gate spectrum is degenerate")
+    system = distinct_eigensystem(u)
     quarter = math.pi / 2.0
     ks = []
     for phase in system.phases:
@@ -297,20 +302,14 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     if ks[0] == ks[1]:
         raise SpectrumError("gate eigenvalues must be distinct fourth roots of unity")
 
-    state, gates = quartet_network(u)
-    out, uses = _apply_network(state, gates)
+    out, uses = _apply_network(*singlet_network(u, QUARTET_WIRING))
     basis, labels = eta_basis()
     wires = (2, 3)
-    dist = outcome_distribution(out, [0, 1], basis, labels)
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
-    branches = {}
-    for index, (label, p) in enumerate(dist):
-        if p <= PROB_FLOOR:
-            continue
-        branches[label] = _branch(
-            *collapse(out, [0, 1], basis, index), wires, system, eigen_for_k[index]
-        )
-    probs = [p for _, p in dist]
+    probs, branches = readout(
+        out, [0, 1], basis, labels,
+        lambda k, p, residual: _branch(p, residual, wires, system, eigen_for_k[k]),
+    )
     return labelled_report("quartet", wires, labels, probs, branches, seed, shots, uses)
 
 

@@ -14,22 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_unitary
-from .protocols import ProtocolReport, SpectrumError, labelled_report
+from .protocols import ProtocolReport, SpectrumError, labelled_report, readout
 from .register import (
-    PROB_FLOOR,
-    ControlledGate,
     State,
     apply_controlled,
-    collapse,
     extract_subsystem,
     fidelity,
     fix_phase,
-    outcome_distribution,
-    plus_x,
-    product_state,
     x_pattern_basis,
 )
-from .singlet import make_singlet
+from .singlet import singlet_network
 
 MAX_QUDIT_DIM = 5
 INVOLUTION_ATOL = 1e-9
@@ -70,22 +64,13 @@ def spectrum_check_minus_one(u: np.ndarray) -> np.ndarray:
     return fix_phase(vec / np.linalg.norm(vec))
 
 
-def minus_one_network(u: np.ndarray):
-    """Input state and gates: D-1 control qubits, each wired to one singlet party.
-
-    Register layout: qubits 0..D-2 are controls, subsystems D-1..2D-2 hold the
-    D-party singlet; control k targets party k. The last party has no control.
-    """
-    d = u.shape[0]
-    plus = State((2,), plus_x())
-    state = product_state([plus] * (d - 1) + [make_singlet(d)])
-    gates = [ControlledGate(k, d - 1 + k, u) for k in range(d - 1)]
-    return state, gates
-
-
 def minus_one_output_state(u: np.ndarray) -> State:
-    """Pre-measurement state of the -1 location protocol."""
-    state, gates = minus_one_network(u)
+    """Pre-measurement state of the -1 location protocol.
+
+    Control k of the D-1 control qubits applies the gate to singlet party k
+    (subsystem D-1+k); the last party has no control.
+    """
+    state, gates = singlet_network(u, [(k, k, 1) for k in range(u.shape[0] - 1)])
     for gate in gates:
         state = apply_controlled(state, gate)
     return state
@@ -138,25 +123,19 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
         raise ValueError(f"gate dimension must be in 2..{MAX_QUDIT_DIM}, got {d}")
     target = spectrum_check_minus_one(u)
 
-    state = minus_one_output_state(u)
     basis, labels = x_pattern_basis(d - 1)
-    dist = outcome_distribution(state, range(d - 1), basis, labels)
 
-    branches = {}
-    for index, (label, p) in enumerate(dist):
-        if p <= PROB_FLOOR:
-            continue
+    def locate(index: int, p: float, residual: State) -> QuditBranch:
         wire = _located_wire(index, d)
         if wire is None:
             raise SpectrumError(
-                f"forbidden pattern {label} has probability {p!r}; "
+                f"forbidden pattern {labels[index]} has probability {p!r}; "
                 "the gate does not satisfy the protocol's spectrum assumption"
             )
-        _, residual = collapse(state, range(d - 1), basis, index)
         wire_state = extract_subsystem(residual, d - 1 + wire)
-        branches[label] = QuditBranch(float(p), wire, fidelity(wire_state, target))
+        return QuditBranch(float(p), wire, fidelity(wire_state, target))
 
+    probs, branches = readout(minus_one_output_state(u), range(d - 1), basis, labels, locate)
     wires = tuple(range(d - 1, 2 * d - 1))
-    probs = [p for _, p in dist]
     # one controlled use per control qubit
     return labelled_report("qudit-minus-one", wires, labels, probs, branches, seed, shots, d - 1)

@@ -312,11 +312,6 @@ def minus_x() -> np.ndarray:
 X_LABELS = ("+x", "-x")
 
 
-def x_basis():
-    """Single-qubit {|+x>, |-x>} basis with labels ("+x", "-x")."""
-    return np.stack([plus_x(), minus_x()]), list(X_LABELS)
-
-
 def x_pattern_basis(qubits: int):
     """Product +-x basis on ``qubits`` qubits, labels like "+x,-x,...".
 

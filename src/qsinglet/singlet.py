@@ -1,4 +1,4 @@
-"""Totally antisymmetric singlet states of D subsystems of dimension D.
+"""Singlet states of D subsystems of dimension D, and the protocols' network.
 
 The D-party singlet carries amplitude sign(p)/sqrt(D!) on every permutation
 basis state |p(0) p(1) ... p(D-1)> and zero elsewhere. Applying the same
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .register import State, digits_to_index
+from .register import ControlledGate, State, digits_to_index, plus_x, product_state
 
 
 def permutation_parity(perm) -> int:
@@ -41,3 +41,17 @@ def make_singlet(d: int) -> State:
         amps[digits_to_index(dims, perm)] = permutation_parity(perm) * scale
     return State(dims, amps)
 
+
+def singlet_network(u: np.ndarray, wiring) -> tuple:
+    """Input |+x>^c (x) singlet(D) and, in wiring order, one controlled
+    ``u**power`` from qubit ``control`` to party ``party`` per wiring entry.
+
+    D is the dimension of ``u`` and c one more than the largest control
+    index, so singlet party k is subsystem c + k.
+    """
+    wiring = tuple(wiring)
+    controls = 1 + max(control for control, _, _ in wiring)
+    plus = State((2,), plus_x())
+    state = product_state([plus] * controls + [make_singlet(np.shape(u)[0])])
+    gates = [ControlledGate(c, controls + party, u, power) for c, party, power in wiring]
+    return state, gates

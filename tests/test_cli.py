@@ -305,6 +305,39 @@ class TestMain:
         assert abs(report["exact_distribution"]["+x"] - 0.5) <= 1e-12
         assert u.shape == (2, 2)
 
+    def test_run_reports_allocation_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(source):
+            raise MemoryError("cannot allocate the gate")
+
+        monkeypatch.setattr("qsinglet.cli.resolve_gate", exhausted)
+        path = write_config(tmp_path, PM1_CONFIG)
+        assert run_cli(["run", "--config", path]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        assert set(report) == {"meta", "errors"}
+        assert report["errors"] == ["cannot allocate the gate"]
+        assert "error:" in captured.err
+
+    def test_run_refuses_gate_larger_than_any_protocol_accepts(self, tmp_path, capsys):
+        config = dict(PM1_CONFIG, gate={"dim": 6, "phases": [0.0] * 5 + [np.pi], "seed": 0})
+        path = write_config(tmp_path, config)
+        assert run_cli(["run", "--config", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["errors"] == [f"dim must be at most {MAX_QUDIT_DIM}, got 6"]
+
+    def test_gen_gate_reports_allocation_failure(self, tmp_path, capsys, monkeypatch):
+        def exhausted(dim, phases, seed, out=None):
+            raise MemoryError("cannot allocate the gate")
+
+        monkeypatch.setattr("qsinglet.cli.generate_gate", exhausted)
+        args = ["gen-gate", "--dim", 2, "--phases", 0.0, 1.0, "--seed", 0,
+                "--out", tmp_path / "gate.json"]
+        assert run_cli(args) == 1
+        assert "error: cannot allocate the gate" in capsys.readouterr().err
+        assert not (tmp_path / "gate.json").exists()
+
     def test_gen_gate_errors(self, tmp_path, capsys):
         out = tmp_path / "gate.json"
         assert run_cli(["gen-gate", "--dim", 1, "--phases", 0.0, "--seed", 0,
@@ -337,6 +370,8 @@ class TestProtocolTable:
         grid = SCHEMA["properties"]["estimate"]["properties"]["phase_grid_size"]
         assert (grid["minimum"], grid["maximum"]) == (3, 1024)
         assert (table["phase_grid_size"].minimum, table["phase_grid_size"].maximum) == (3, 1024)
+        generated = config["gate"]["oneOf"][1]["properties"]["dim"]
+        assert (generated["minimum"], generated["maximum"]) == (2, MAX_QUDIT_DIM)
 
     def test_phase_grid_size_is_bounded(self, tmp_path, capsys):
         config = dict(PROTOCOL_CONFIGS["tomography"], params={"phase_grid_size": 1024})

@@ -25,7 +25,7 @@ from qsinglet.protocols import (
     quartet_output_state,
     tomography_baseline,
 )
-from qsinglet.register import collapse, extract_subsystem, fidelity, x_basis
+from qsinglet.register import collapse, extract_subsystem, fidelity, x_pattern_basis
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -70,7 +70,7 @@ class TestPm1:
     def test_x_gate_wires_carry_hadamard_states(self):
         """For u = X the located eigenstates are analytically |+> and |->."""
         out = pm1_output_state(X)
-        basis, _ = x_basis()
+        basis, _ = x_pattern_basis(1)
         for index, (first, second) in ((0, (PLUS, MINUS)), (1, (MINUS, PLUS))):
             p, residual = collapse(out, [0], basis, index)
             assert abs(p - 0.5) <= 1e-12
@@ -82,7 +82,7 @@ class TestPm1:
         u = gate_with_phases([0.0, math.pi], 100 + seed)
         reference = {round(p / math.pi): v for p, v in eig_oracle(u)}
         out = pm1_output_state(u)
-        basis, _ = x_basis()
+        basis, _ = x_pattern_basis(1)
         p, residual = collapse(out, [0], basis, 0)
         assert fidelity(extract_subsystem(residual, 1), reference[0]) > 1.0 - 1e-10
         assert fidelity(extract_subsystem(residual, 2), reference[1]) > 1.0 - 1e-10

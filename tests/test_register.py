@@ -29,7 +29,6 @@ from qsinglet.register import (
     plus_x,
     product_state,
     sample_counts,
-    x_basis,
     x_pattern_basis,
 )
 
@@ -191,7 +190,7 @@ def test_outcome_distribution_matches_projection():
 
 def test_outcome_distribution_in_rotated_basis():
     state = State((2,), plus_x())
-    basis, labels = x_basis()
+    basis, labels = x_pattern_basis(1)
     dist = dict(outcome_distribution(state, [0], basis, labels))
     assert abs(dist["+x"] - 1.0) < 1e-12
     assert dist["-x"] < 1e-12
@@ -208,7 +207,7 @@ def test_basis_matrix_validation():
 
 def test_collapse_probability_and_residual():
     state = random_state((2, 2, 3), 12)
-    basis, _ = x_basis()
+    basis, _ = x_pattern_basis(1)
     p, residual = collapse(state, [1], basis, 0)
     dist = outcome_distribution(state, [1], basis)
     assert abs(p - dist[0][1]) < 1e-12
@@ -229,7 +228,7 @@ def test_collapse_rejects_zero_probability_branch():
 
 def test_measure_is_seeded_and_consistent():
     state = random_state((2, 2), 30)
-    basis, labels = x_basis()
+    basis, labels = x_pattern_basis(1)
     probs = [p for _, p in outcome_distribution(state, [0], basis, labels)]
     counts_a, first_a = sample_counts(probs, 1, 0)
     counts_b, first_b = sample_counts(probs, 1, 0)
@@ -270,7 +269,7 @@ def test_extract_subsystem_rejects_entangled_cut():
 
 
 def test_x_basis_vectors():
-    basis, labels = x_basis()
+    basis, labels = x_pattern_basis(1)
     assert labels == ["+x", "-x"]
     np.testing.assert_allclose(basis[0], plus_x())
     np.testing.assert_allclose(basis[1], minus_x())

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qsinglet.linalg import haar_random_unitary
-from qsinglet.register import apply_unitary, digits_to_index, fidelity
-from qsinglet.singlet import make_singlet, permutation_parity
+from qsinglet.register import apply_unitary, digits_to_index, fidelity, plus_x
+from qsinglet.singlet import make_singlet, permutation_parity, singlet_network
 
 # Levi-Civita signs for every permutation of three items
 EPSILON_3 = {
@@ -117,3 +117,15 @@ def test_singlet_in_eigenbasis_matches_partywise_application(d):
     got = apply_everywhere(make_singlet(d), v)
     np.testing.assert_allclose(got.amps, expanded, atol=1e-12)
     assert fidelity(got, make_singlet(d)) > 1.0 - 1e-9
+
+
+def test_singlet_network_layout():
+    """Controls in |+x> come first, then the singlet of u's dimension; party k
+    is subsystem c + k, and gates keep wiring order."""
+    u = haar_random_unitary(3, 5)
+    state, gates = singlet_network(u, [(1, 2, 1), (0, 0, 3)])
+    assert state.dims == (2, 2, 3, 3, 3)
+    expected = np.kron(np.kron(plus_x(), plus_x()), make_singlet(3).amps)
+    np.testing.assert_array_equal(state.amps, expected)
+    assert [(g.control, g.target, g.power) for g in gates] == [(1, 4, 1), (0, 2, 3)]
+    assert all(g.unitary is u for g in gates)
