@@ -32,6 +32,8 @@ from .qudit import MAX_QUDIT_DIM, run_qudit_minus_one
 from .register import top_k
 
 DISTRIBUTION_CAP = 4096
+# largest accepted shot count; bounds the time a sampled run can take
+MAX_SHOTS = 10 ** 9
 
 
 def _meta() -> dict:
@@ -214,7 +216,7 @@ def validate_config(config: dict) -> dict:
     protocol = config["protocol"]
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
-    require_int(config["shots"], "shots", minimum=0)
+    require_int(config["shots"], "shots", minimum=0, maximum=MAX_SHOTS)
     require_int(config["seed"], "seed", minimum=0, maximum=MAX_SEED - 1)
     params = config["params"]
     spec = PROTOCOLS[protocol].params
@@ -234,7 +236,8 @@ def resolve_gate(source) -> np.ndarray:
     """Load or synthesize the gate named by a config's gate source."""
     if not isinstance(source, dict):
         raise ValueError("gate source must be a JSON object")
-    if set(source) == {"file"}:
+    # open() takes an int as a file descriptor, so only a string names a file
+    if set(source) == {"file"} and isinstance(source["file"], str):
         return load_unitary(source["file"])
     if set(source) == {"dim", "phases", "seed"}:
         if not isinstance(source["phases"], list):

@@ -33,9 +33,13 @@ def require_number(value, what: str) -> float:
     """Return ``value`` as a float if it is a finite (non-bool) number, else raise ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(float(value)):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

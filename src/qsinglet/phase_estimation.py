@@ -6,6 +6,8 @@ transform the registers read out one eigenphase each (always opposite ones,
 never the same one twice), and the singlet halves collapse onto the matching
 eigenstates. Readout peaks obey the usual phase-estimation amplitude profile,
 so even off-grid phases are caught with probability bounded away from zero.
+Reports are read off that profile in closed form; the simulated network
+(:func:`double_pe_output_state`) is kept as the reference the tests check.
 """
 
 from __future__ import annotations
@@ -147,6 +149,11 @@ def _wrapped_reading_distance(z: int, xbar: int, size: int) -> int:
 def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeReport:
     """Run double phase estimation on a 2x2 gate with distinct eigenphases.
 
+    Nothing is simulated. The singlet is (|e1 e2> - |e2 e1>)/sqrt(2) on the
+    eigenbasis, so S = |g_1(z_a) g_2(z_b)|^2 / 2 (see :func:`g_amplitude`) is
+    the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
+    joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
+
     ``shots = 0`` analyzes the exact joint distribution only (the most likely
     branches, up to a cap); positive ``shots`` samples readings from it and
     analyzes every distinct observed branch. Each branch records the residual
@@ -161,24 +168,22 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     if phase_distance(float(system.phases[0]), float(system.phases[1])) <= SPECTRUM_ATOL:
         raise SpectrumError("eigenphases must be distinct")
 
-    out = double_pe_output_state(u, n)
-    size = 2 ** n
-    psi = out.amps.reshape(size, size, 2, 2)
-    joint = np.sum(np.abs(psi) ** 2, axis=(2, 3))
     grids = tuple(nearest_grid(float(p), n) for p in system.phases)
-    gate_uses = 2 * (size - 1)
+    size = 2 ** n
+    g1, g2 = (np.array([g_amplitude(z, grid) for z in range(size)]) for grid in grids)
+    straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
+    joint = straight + straight.T
 
-    def wire(rho: np.ndarray, z: int) -> tuple:
+    def wire(fids: tuple, z: int) -> tuple:
         """(fidelity with the matched eigenvector, match, ambiguous) of one half."""
-        fids = [float(np.real(np.vdot(system.vector(k), rho @ system.vector(k)))) for k in range(2)]
         match = min(range(2), key=lambda k: (_wrapped_reading_distance(z, grids[k].xbar, size), k))
         return fids[match], match, max(fids) < 0.5
 
     def analyze(z_a: int, z_b: int) -> PeBranch:
         p = float(joint[z_a, z_b])
-        mat = psi[z_a, z_b] / math.sqrt(p)
-        fid_a, match_a, ambiguous_a = wire(mat @ np.conjugate(mat).T, z_a)
-        fid_b, match_b, ambiguous_b = wire(mat.T @ np.conjugate(mat), z_b)
+        f = float(straight[z_a, z_b]) / p
+        fid_a, match_a, ambiguous_a = wire((f, 1.0 - f), z_a)
+        fid_b, match_b, ambiguous_b = wire((1.0 - f, f), z_b)
         return PeBranch(
             z_a=z_a,
             z_b=z_b,
@@ -209,5 +214,5 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         joint_histogram=histogram,
         shots_used=shots,
         seed=int(seed),
-        gate_uses=gate_uses,
+        gate_uses=2 * (size - 1),
     )

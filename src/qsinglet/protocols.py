@@ -26,16 +26,12 @@ from .linalg import (
 )
 from .register import (
     PROB_FLOOR,
-    ControlledGate,
     State,
     apply_controlled,
-    basis_state,
     collapse,
-    computational_basis,
     extract_subsystem,
     fidelity,
     outcome_distribution,
-    product_state,
     sample_counts,
     x_pattern_basis,
 )
@@ -98,6 +94,9 @@ def _branch(probability, residual, wires, system, eigen_indices) -> BranchReport
 
 def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses):
     """ProtocolReport over labelled outcomes, with ``shots`` seeded draws."""
+    shots = int(shots)
+    if shots < 0:
+        raise ValueError("shots must be nonnegative")
     histogram = {}
     outcome = None
     if shots > 0:
@@ -111,7 +110,7 @@ def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses
         exact_distribution={label: float(p) for label, p in zip(labels, probs)},
         histogram=histogram,
         outcome_label=outcome,
-        shots_used=int(shots),
+        shots_used=shots,
         seed=int(seed),
         gate_uses=int(gate_uses),
     )
@@ -346,22 +345,16 @@ def tomography_baseline(
     if phase_grid_size < 3:
         raise ValueError("need at least 3 phase points to fit the fringe")
     rng = np.random.default_rng(seed)
-    comp, comp_labels = computational_basis(2)
-
-    def p0(target: np.ndarray) -> float:
-        """Probability of reading |0> on the target after a use on |1>|target>."""
-        inp = product_state([basis_state((2,), (1,)), State((2,), target)])
-        out = apply_controlled(inp, ControlledGate(0, 1, u))
-        return dict(outcome_distribution(out, [1], comp, comp_labels))["0"]
-
-    zeros = rng.binomial(shots_per_setting, p0(np.array([1.0, 0.0], dtype=complex)))
+    # a controlled use on |1>|target> leaves |0> on the target with
+    # probability |<0|u|target>|^2
+    zeros = rng.binomial(shots_per_setting, abs(u[0, 0]) ** 2)
     p00 = zeros / shots_per_setting
     p10 = (shots_per_setting - zeros) / shots_per_setting
 
     thetas = 2.0 * np.pi * np.arange(phase_grid_size) / phase_grid_size
     fringe = []
     for theta in thetas:
-        hits = rng.binomial(shots_per_setting, p0(equatorial_state(theta)))
+        hits = rng.binomial(shots_per_setting, abs(u[0] @ equatorial_state(theta)) ** 2)
         fringe.append(hits / shots_per_setting)
 
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])

@@ -114,9 +114,6 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
     1/D; the located wire is extracted from the collapsed state and compared
     with the -1 eigenvector.
     """
-    shots = int(shots)
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
     u = require_unitary(u, what="gate")
     d = u.shape[0]
     if not 2 <= d <= MAX_QUDIT_DIM:

@@ -328,8 +328,3 @@ def x_pattern_basis(qubits: int):
         vectors.append(vec)
         labels.append(",".join(X_LABELS[bit] for bit in bits))
     return np.stack(vectors), labels
-
-
-def computational_basis(dim: int):
-    """Identity basis with digit-string labels."""
-    return np.eye(dim, dtype=complex), [str(i) for i in range(dim)]

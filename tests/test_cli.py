@@ -13,6 +13,7 @@ import pytest
 
 import qsinglet
 from qsinglet.cli import (
+    MAX_SHOTS,
     PROTOCOLS,
     apply_overrides,
     build_parser,
@@ -372,6 +373,7 @@ class TestProtocolTable:
         assert (table["phase_grid_size"].minimum, table["phase_grid_size"].maximum) == (3, 1024)
         generated = config["gate"]["oneOf"][1]["properties"]["dim"]
         assert (generated["minimum"], generated["maximum"]) == (2, MAX_QUDIT_DIM)
+        assert (config["shots"]["minimum"], config["shots"]["maximum"]) == (0, MAX_SHOTS)
 
     def test_phase_grid_size_is_bounded(self, tmp_path, capsys):
         config = dict(PROTOCOL_CONFIGS["tomography"], params={"phase_grid_size": 1024})
@@ -381,6 +383,16 @@ class TestProtocolTable:
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, SCHEMA)
         assert report["errors"] == ["phase_grid_size must be at most 1024, got 1025"]
+
+    @pytest.mark.parametrize("protocol", ["tomography", "pm1"])
+    def test_shots_are_bounded(self, tmp_path, capsys, protocol):
+        config = dict(PROTOCOL_CONFIGS[protocol], shots=MAX_SHOTS)
+        assert validate_config(config) is config
+        path = write_config(tmp_path, dict(config, shots=MAX_SHOTS + 1))
+        assert run_cli(["run", "--config", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["errors"] == [f"shots must be at most {MAX_SHOTS}, got {MAX_SHOTS + 1}"]
 
     def test_override_flags_come_from_the_table(self, tmp_path):
         path = write_config(tmp_path, PM1_CONFIG)

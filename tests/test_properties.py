@@ -1,18 +1,32 @@
-"""Property tests of the shared readout: every basis-readout protocol over Haar
-eigenbases and the spectra it allows.
+"""Property tests over Haar eigenbases and the spectra each protocol allows.
 
 For each drawn gate the exact distribution sums to 1, every branch that
 promises eigenstates delivers them, and sampling shots changes nothing but
-the histogram.
+the histogram. Double phase estimation's closed form is checked against the
+simulated network it replaces. Through the command line, a valid config gives
+the same bytes on every run and a malformed one an errors report.
 """
 
 import itertools
+import json
 import math
+import tempfile
+from importlib import resources
+from pathlib import Path
 
-from hypothesis import given, settings
+import jsonschema
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsinglet.linalg import generate_gate, haar_random_unitary
+from qsinglet.cli import MAX_SHOTS, main
+from qsinglet.linalg import (
+    MAX_SEED,
+    eigendecompose_2x2_unitary,
+    generate_gate,
+    haar_random_unitary,
+)
+from qsinglet.phase_estimation import double_pe_output_state, nearest_grid, run_double_pe
 from qsinglet.protocols import (
     protocol_known_phases,
     protocol_pm1,
@@ -24,8 +38,11 @@ from qsinglet.qudit import householder_reflection, run_qudit_minus_one
 SHOTS = 257
 PROPERTY = settings(max_examples=20, deadline=None)
 
+TWO_PI = 2.0 * math.pi
+
 seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 orders = st.booleans()
+angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
 
 
 def two_phase_gate(phases, swap, seed):
@@ -92,3 +109,268 @@ def test_qudit_minus_one_householder(d, seed, shot_seed):
     exact = check_readout(lambda shots: run_qudit_minus_one(u, shot_seed, shots))
     # every allowed pattern, one per singlet party, occurs
     assert len(exact.branches) == d
+
+
+@st.composite
+def double_pe_cases(draw):
+    """(n, on_grid, phases): both phases on the n-bit grid, or two phases at
+    least 0.3 apart."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        size = 2 ** n
+        k1 = draw(st.integers(min_value=0, max_value=size - 1))
+        k2 = draw(st.integers(min_value=0, max_value=size - 1).filter(lambda k: k != k1))
+        return n, True, (TWO_PI * k1 / size, TWO_PI * k2 / size)
+    theta1 = draw(angles)
+    gap = draw(st.floats(min_value=0.3, max_value=TWO_PI - 0.3))
+    return n, False, (theta1, math.fmod(theta1 + gap, TWO_PI))
+
+
+def wrapped_distance(z, xbar, size):
+    d = abs(z - xbar) % size
+    return min(d, size - d)
+
+
+@PROPERTY
+@given(case=double_pe_cases(), seed=seeds, shot_seed=seeds)
+def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
+    n, on_grid, phases = case
+    u = generate_gate(2, phases, seed)
+    exact = run_double_pe(u, n)
+    sampled = run_double_pe(u, n, shots=SHOTS, seed=shot_seed)
+    size = 2 ** n
+    psi = double_pe_output_state(u, n).amps.reshape(size, size, 2, 2)
+    joint = np.sum(np.abs(psi) ** 2, axis=(2, 3))
+    assert np.max(np.abs(exact.exact_joint - joint)) <= 1e-12
+    assert abs(np.sum(exact.exact_joint) - 1.0) <= 1e-12
+    assert np.array_equal(sampled.exact_joint, exact.exact_joint)
+    assert sum(sampled.joint_histogram.values()) == SHOTS
+    assert [(b.z_a, b.z_b) for b in sampled.branches] == list(sampled.joint_histogram)
+
+    system = eigendecompose_2x2_unitary(u)
+    xbars = [nearest_grid(float(p), n).xbar for p in system.phases]
+    for branch in exact.branches + sampled.branches:
+        # the dense residual's reduced states are the reference
+        mat = psi[branch.z_a, branch.z_b] / math.sqrt(joint[branch.z_a, branch.z_b])
+        halves = (
+            (mat @ np.conjugate(mat).T, branch.z_a, branch.fidelity_a,
+             branch.match_a, branch.ambiguous_a),
+            (mat.T @ np.conjugate(mat), branch.z_b, branch.fidelity_b,
+             branch.match_b, branch.ambiguous_b),
+        )
+        for rho, z, fid, match, ambiguous in halves:
+            fids = [float(np.real(np.vdot(system.vector(k), rho @ system.vector(k))))
+                    for k in range(2)]
+            assert abs(fid - fids[match]) <= 1e-10
+            if abs(fid - 0.5) > 1e-9:
+                assert match == min(range(2), key=lambda k: (wrapped_distance(z, xbars[k], size), k))
+                assert ambiguous == (max(fids) < 0.5)
+            if on_grid:
+                assert fid >= 1.0 - 1e-10
+
+
+SCHEMA = json.loads(resources.files("qsinglet").joinpath("report_schema.json").read_text())
+CLI = settings(max_examples=20, deadline=None)
+
+
+def generated_gate(dim, phases, seed):
+    return {"dim": dim, "phases": [float(p) for p in phases], "seed": seed}
+
+
+@st.composite
+def valid_configs(draw):
+    """A config of a drawn protocol that the program must run, at small sizes."""
+    protocol = draw(st.sampled_from([
+        "pm1", "square-trick", "known-phases", "quartet", "double-pe",
+        "qudit-minus-one", "tomography",
+    ]))
+    seed = draw(seeds)
+    params = {}
+    if protocol in ("pm1", "square-trick", "tomography"):
+        pair = [0.0, math.pi if protocol != "square-trick" else math.pi / 2.0]
+        gate = generated_gate(2, draw(st.permutations(pair)), seed)
+    elif protocol == "quartet":
+        pair = draw(st.sampled_from(list(itertools.permutations(range(4), 2))))
+        gate = generated_gate(2, [k * math.pi / 2.0 for k in pair], seed)
+    elif protocol == "qudit-minus-one":
+        d = draw(st.integers(min_value=2, max_value=5))
+        flip = draw(st.integers(min_value=0, max_value=d - 1))
+        gate = generated_gate(d, [math.pi if k == flip else 0.0 for k in range(d)], seed)
+        params = {"d": d}
+    else:
+        theta1 = draw(angles)
+        theta2 = math.fmod(theta1 + draw(st.floats(min_value=0.3, max_value=TWO_PI - 0.3)), TWO_PI)
+        gate = generated_gate(2, draw(st.permutations([theta1, theta2])), seed)
+        if protocol == "known-phases":
+            params = {"theta1": theta1, "theta2": theta2}
+        else:
+            params = {"n": draw(st.integers(min_value=1, max_value=4))}
+    if protocol == "tomography" and draw(st.booleans()):
+        params = {"phase_grid_size": draw(st.integers(min_value=3, max_value=64))}
+    least = 1 if protocol == "tomography" else 0
+    return {
+        "protocol": protocol,
+        "gate": gate,
+        "shots": draw(st.integers(min_value=least, max_value=300)),
+        "seed": draw(seeds),
+        "params": params,
+    }
+
+
+def run_config(config, directory: Path, name: str):
+    """(exit status, report text) of ``qsinglet run`` on a config written to
+    ``directory``."""
+    path, out = directory / f"{name}.json", directory / f"{name}.report.json"
+    path.write_text(json.dumps(config) if not isinstance(config, str) else config)
+    status = main(["run", "--config", str(path), "--out", str(out)])
+    return status, out.read_text()
+
+
+@CLI
+@given(config=valid_configs())
+def test_valid_config_reruns_to_identical_bytes(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = run_config(config, Path(tmp), "a")
+        second = run_config(config, Path(tmp), "b")
+    assert first[0] == second[0] == 0
+    # the timestamp under meta is the one line that may differ
+    strip = lambda text: [line for line in text.splitlines() if '"timestamp":' not in line]
+    assert strip(first[1]) == strip(second[1])
+    jsonschema.validate(json.loads(first[1]), SCHEMA)
+
+
+HUGE = 10 ** 29
+wrong_types = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=5), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+bad_ints = st.one_of(
+    st.sampled_from([-1, -HUGE, HUGE, 10 ** 400]), wrong_types,
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+bad_numbers = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400, -(10 ** 400)]), wrong_types,
+)
+PROTOCOL_NAMES = SCHEMA["properties"]["config"]["properties"]["protocol"]["enum"]
+# for each parameter: a protocol that takes it, with valid values for the rest
+PARAM_HOMES = {
+    "n": ("double-pe", {"n": 2}),
+    "d": ("qudit-minus-one", {"d": 3}),
+    "phase_grid_size": ("tomography", {}),
+    "theta1": ("known-phases", {"theta1": 0.5, "theta2": 2.0}),
+    "theta2": ("known-phases", {"theta1": 0.5, "theta2": 2.0}),
+}
+OUT_OF_RANGE = [
+    ("n", 0), ("n", 11), ("n", HUGE), ("d", 1), ("d", 6), ("d", HUGE),
+    ("phase_grid_size", 2), ("phase_grid_size", 1025), ("phase_grid_size", HUGE),
+]
+# well-formed configs whose gate breaks the protocol's precondition
+VIOLATIONS = [
+    {"protocol": "pm1", "gate": generated_gate(2, [0.0, math.pi / 2.0], 1), "params": {}},
+    {"protocol": "square-trick", "gate": generated_gate(2, [0.0, math.pi], 1), "params": {}},
+    {"protocol": "quartet", "gate": generated_gate(2, [0.0, 1.0], 1), "params": {}},
+    {"protocol": "quartet", "gate": generated_gate(2, [math.pi, math.pi], 1), "params": {}},
+    {"protocol": "known-phases", "gate": generated_gate(2, [0.2, 1.7], 1),
+     "params": {"theta1": 0.2, "theta2": 2.7}},
+    {"protocol": "double-pe", "gate": generated_gate(2, [0.4, 0.4], 1), "params": {"n": 3}},
+    {"protocol": "double-pe", "gate": generated_gate(3, [0.0, 0.0, math.pi], 1),
+     "params": {"n": 3}},
+    {"protocol": "qudit-minus-one", "gate": generated_gate(3, [0.0, math.pi, math.pi], 1),
+     "params": {"d": 3}},
+    {"protocol": "qudit-minus-one", "gate": generated_gate(3, [0.0, 0.0, math.pi], 1),
+     "params": {"d": 4}},
+    {"protocol": "tomography", "gate": generated_gate(2, [0.0, math.pi], 1), "shots": 0,
+     "params": {}},
+]
+
+
+@st.composite
+def refused_configs(draw):
+    """A config, or raw config text, that the program must refuse."""
+    config = draw(valid_configs())
+    kind = draw(st.sampled_from([
+        "not-an-object", "unknown-key", "unknown-protocol", "shots", "seed", "param-type",
+        "param-range", "unknown-param", "missing-param", "gate-source", "gate-field",
+        "violation",
+    ]))
+    if kind == "not-an-object":
+        return draw(st.sampled_from(["[]", "3", '"pm1"', "null", "{", ""]))
+    if kind == "unknown-key":
+        config[draw(st.sampled_from(["plot", "Shots", ""]))] = 1
+    elif kind == "unknown-protocol":
+        config["protocol"] = draw(st.one_of(
+            st.text(max_size=8).filter(lambda t: t not in PROTOCOL_NAMES), wrong_types
+        ))
+    elif kind == "shots":
+        config["shots"] = draw(st.one_of(bad_ints, st.sampled_from([-5, MAX_SHOTS + 1])))
+    elif kind == "seed":
+        config["seed"] = draw(st.one_of(bad_ints, st.just(MAX_SEED)))
+    elif kind == "param-type":
+        key = draw(st.sampled_from(sorted(PARAM_HOMES)))
+        config["protocol"], params = PARAM_HOMES[key]
+        bad = draw(bad_numbers if key.startswith("theta") else bad_ints)
+        config["params"] = dict(params, **{key: bad})
+    elif kind == "param-range":
+        key, value = draw(st.sampled_from(OUT_OF_RANGE))
+        config["protocol"], params = PARAM_HOMES[key]
+        config["params"] = dict(params, **{key: value})
+    elif kind == "unknown-param":
+        foreign = sorted(set(PARAM_HOMES) - set(config["params"]) | {"unknown"})
+        config["params"] = dict(config["params"], **{draw(st.sampled_from(foreign)): 3})
+        if config["protocol"] == "tomography" and "phase_grid_size" not in config["params"]:
+            config["params"]["unknown"] = 1
+    elif kind == "missing-param":
+        config["protocol"] = draw(st.sampled_from(["known-phases", "double-pe", "qudit-minus-one"]))
+        config["params"] = {}
+    elif kind == "gate-source":
+        gate = config["gate"]
+        config["gate"] = draw(st.one_of(
+            wrong_types.filter(lambda v: not isinstance(v, dict)),
+            st.sampled_from([
+                {}, {"file": "no/such/gate.json"}, dict(gate, file="gate.json"),
+                {"dim": gate["dim"], "phases": gate["phases"]},
+            ]),
+            st.builds(lambda v: {"file": v}, st.one_of(st.integers(0, 2), wrong_types).filter(
+                lambda v: not isinstance(v, str)
+            )),
+        ))
+    elif kind == "gate-field":
+        gate = config["gate"]
+        field = draw(st.sampled_from(["dim", "phases", "seed"]))
+        if field == "dim":
+            gate["dim"] = draw(st.one_of(bad_ints, st.sampled_from([1, 6, HUGE])))
+        elif field == "phases":
+            gate["phases"] = draw(st.one_of(
+                wrong_types.filter(lambda v: not isinstance(v, list)),
+                st.lists(bad_numbers, min_size=1, max_size=3),
+                st.builds(lambda extra: gate["phases"] + [extra], angles),
+            ))
+        else:
+            gate["seed"] = draw(st.one_of(bad_ints, st.just(MAX_SEED)))
+    else:
+        config.update(draw(st.sampled_from(VIOLATIONS)))
+    return config
+
+
+TOMOGRAPHY = {"protocol": "tomography", "gate": generated_gate(2, [0.0, math.pi], 1),
+              "shots": 10, "seed": 0, "params": {}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=refused_configs())
+@example(config=dict(TOMOGRAPHY, shots=HUGE))
+@example(config=dict(TOMOGRAPHY, seed=HUGE))
+@example(config=dict(TOMOGRAPHY, gate={"dim": 2, "phases": [10 ** 400, 0.0], "seed": 1}))
+@example(config=dict(TOMOGRAPHY, gate=dict(generated_gate(2, [0.0, 1.0], 1), dim=HUGE)))
+@example(config=dict(TOMOGRAPHY, gate={"file": 0}))
+@example(config=dict(TOMOGRAPHY, gate={"file": True}))
+@example(config=dict(TOMOGRAPHY, protocol="known-phases",
+                     params={"theta1": 10 ** 400, "theta2": 1.0}))
+@example(config=dict(TOMOGRAPHY, protocol="double-pe", params={"n": HUGE}))
+def test_refused_config_gives_errors_report(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        status, text = run_config(config, Path(tmp), "c")
+    report = json.loads(text)
+    assert status == 1
+    assert set(report) == {"meta", "errors"}
+    jsonschema.validate(report, SCHEMA)

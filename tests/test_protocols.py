@@ -231,6 +231,21 @@ class TestQuartet:
             protocol_quartet(1j * np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: protocol_pm1(gate_with_phases([0.0, math.pi], 0), shots=-5),
+        lambda: protocol_square_trick(gate_with_phases([0.0, math.pi / 2], 0), shots=-5),
+        lambda: protocol_quartet(gate_with_phases([0.0, math.pi / 2], 0), shots=-5),
+        lambda: protocol_known_phases(gate_with_phases([0.2, 1.7], 0), 0.2, 1.7, shots=-5),
+    ],
+    ids=["pm1", "square-trick", "quartet", "known-phases"],
+)
+def test_negative_shots_are_refused(run):
+    with pytest.raises(ValueError, match="shots must be nonnegative"):
+        run()
+
+
 class TestTomography:
     def test_hadamard_like_gate(self):
         theta = 0.0

@@ -19,7 +19,6 @@ from qsinglet.register import (
     apply_unitary,
     basis_state,
     collapse,
-    computational_basis,
     controlled_matrix,
     digits_to_index,
     extract_subsystem,
@@ -179,7 +178,7 @@ def test_apply_controlled_validation():
 
 def test_outcome_distribution_matches_projection():
     state = random_state((2, 3), 3)
-    basis, labels = computational_basis(2)
+    basis, labels = np.eye(2), ["0", "1"]
     dist = dict(outcome_distribution(state, [0], basis, labels))
     tensor = state.tensor()
     for k in range(2):
@@ -219,7 +218,7 @@ def test_collapse_probability_and_residual():
 
 def test_collapse_rejects_zero_probability_branch():
     state = basis_state((2, 2), (0, 0))
-    basis, _ = computational_basis(2)
+    basis = np.eye(2)
     with pytest.raises(ValueError):
         collapse(state, [0], basis, 1)
     with pytest.raises(ValueError):
@@ -242,7 +241,7 @@ def test_measure_is_seeded_and_consistent():
 
 def test_measure_frequencies_track_born_rule():
     state = random_state((2,), 17)
-    basis, labels = computational_basis(2)
+    basis, labels = np.eye(2), ["0", "1"]
     exact = dict(outcome_distribution(state, [0], basis, labels))
     n = 4000
     counts, _ = sample_counts([exact[label] for label in labels], n, 99)
