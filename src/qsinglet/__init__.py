@@ -58,7 +58,6 @@ from .register import (
     State,
     apply_controlled,
     apply_unitary,
-    basis_state,
     extract_subsystem,
     fidelity,
     outcome_distribution,
@@ -80,7 +79,6 @@ __all__ = [
     "TomographyEstimate",
     "apply_controlled",
     "apply_unitary",
-    "basis_state",
     "build_idp_povm",
     "eigendecompose_2x2_unitary",
     "equatorial_state",

@@ -105,11 +105,10 @@ def _double_pe(gate, shots, seed, n) -> dict:
     report = run_double_pe(gate, n, shots=shots, seed=seed)
     size = 2 ** n
     flat = report.exact_joint.reshape(-1)
+    kept = top_k(flat, DISTRIBUTION_CAP)
+    keys = [f"{i // size},{i % size}" for i in kept.tolist()]
     body = {
-        "exact_distribution": {
-            f"{i // size},{i % size}": float(flat[i])
-            for i in map(int, top_k(flat, DISTRIBUTION_CAP))
-        },
+        "exact_distribution": dict(zip(keys, flat[kept].tolist())),
         "fidelities": {
             f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
         },

@@ -56,23 +56,30 @@ def nearest_grid(phi: float, n: int) -> GridDecomposition:
     return GridDecomposition(n, x, xbar_raw % size, delta)
 
 
-def g_amplitude(z: int, grid: GridDecomposition) -> complex:
+def g_amplitude(z, grid: GridDecomposition):
     """Register amplitude on reading ``z`` when the phase sits at ``grid``.
 
     Closed form of the geometric sum picked up by the inverse Fourier
     transform. On the grid it is exactly 1 at z = xbar and 0 elsewhere; off
-    the grid its magnitude at z = xbar stays above 2/pi.
+    the grid its magnitude at z = xbar stays above 2/pi. ``z`` is an integer
+    reading in [0, 2^n) or an integer array of them; a scalar gives a
+    ``complex``, an array one amplitude per reading.
     """
     size = 2 ** grid.n
-    z = int(z)
-    if not 0 <= z < size:
-        raise ValueError(f"reading {z} out of range for {grid.n} qubits")
+    readings = np.asarray(z)
+    if readings.dtype.kind not in "iu":
+        raise ValueError(f"readings must be integers, got {z!r}")
+    if readings.size and not (readings.min() >= 0 and readings.max() < size):
+        raise ValueError(f"readings must lie in 0..{size - 1} for {grid.n} qubits, got {z!r}")
+    # signed, so xbar - z cannot wrap for unsigned readings
+    readings = readings.astype(np.int64, copy=False)
     numerator = 1.0 - np.exp(2j * np.pi * grid.delta * size)
-    denominator = 1.0 - np.exp(2j * np.pi * ((grid.xbar - z) / size + grid.delta))
-    if denominator == 0.0:
-        # only reachable at z = xbar with delta numerically 0; the limit is 1
-        return 1.0 + 0.0j
-    return complex(numerator / denominator / size)
+    denominator = 1.0 - np.exp(2j * np.pi * ((grid.xbar - readings) / size + grid.delta))
+    # a zero denominator is only reachable at z = xbar with delta numerically
+    # 0, where the limit is 1
+    zero = denominator == 0.0
+    amplitude = np.where(zero, 1.0 + 0.0j, numerator / np.where(zero, 1.0, denominator) / size)
+    return complex(amplitude) if amplitude.ndim == 0 else amplitude
 
 
 def inverse_qft_matrix(n: int) -> np.ndarray:
@@ -93,8 +100,7 @@ class PeBranch:
 
     ``match_a``/``match_b`` index the eigenphase whose grid point is nearest
     each reading; the fidelities are taken against those eigenvectors from the
-    reduced state of each singlet half. A wire is ambiguous when neither
-    eigenvector reaches fidelity 0.5, which can happen off grid.
+    reduced state of each singlet half.
     """
 
     z_a: int
@@ -104,8 +110,6 @@ class PeBranch:
     fidelity_b: float
     match_a: int
     match_b: int
-    ambiguous_a: bool
-    ambiguous_b: bool
 
 
 @dataclass(frozen=True)
@@ -170,20 +174,20 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
 
     grids = tuple(nearest_grid(float(p), n) for p in system.phases)
     size = 2 ** n
-    g1, g2 = (np.array([g_amplitude(z, grid) for z in range(size)]) for grid in grids)
+    g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
     straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
     joint = straight + straight.T
 
     def wire(fids: tuple, z: int) -> tuple:
-        """(fidelity with the matched eigenvector, match, ambiguous) of one half."""
+        """(fidelity with the matched eigenvector, match) of one half."""
         match = min(range(2), key=lambda k: (_wrapped_reading_distance(z, grids[k].xbar, size), k))
-        return fids[match], match, max(fids) < 0.5
+        return fids[match], match
 
     def analyze(z_a: int, z_b: int) -> PeBranch:
         p = float(joint[z_a, z_b])
         f = float(straight[z_a, z_b]) / p
-        fid_a, match_a, ambiguous_a = wire((f, 1.0 - f), z_a)
-        fid_b, match_b, ambiguous_b = wire((1.0 - f, f), z_b)
+        fid_a, match_a = wire((f, 1.0 - f), z_a)
+        fid_b, match_b = wire((1.0 - f, f), z_b)
         return PeBranch(
             z_a=z_a,
             z_b=z_b,
@@ -192,8 +196,6 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
             fidelity_b=fid_b,
             match_a=match_a,
             match_b=match_b,
-            ambiguous_a=ambiguous_a,
-            ambiguous_b=ambiguous_b,
         )
 
     histogram = {}

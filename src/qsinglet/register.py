@@ -74,13 +74,6 @@ def digits_to_index(dims, digits) -> int:
     return index
 
 
-def basis_state(dims, digits) -> State:
-    """Computational basis state |digits> on a register of shape ``dims``."""
-    amps = np.zeros(math.prod(dims), dtype=complex)
-    amps[digits_to_index(dims, digits)] = 1.0
-    return State(tuple(dims), amps)
-
-
 def product_state(factors) -> State:
     """Tensor product of component states, in register order."""
     factors = list(factors)
@@ -263,9 +256,19 @@ def top_k(probs, cap) -> np.ndarray:
     """Flat indices of the at most ``cap`` largest entries above PROB_FLOOR.
 
     Largest first, ties in flat index order; ``cap=None`` keeps them all.
+    With more than ``cap`` candidates, a linear-time selection first keeps
+    those at or above the cap-th largest value (every tie at the cutoff, in
+    index order), so the stable sort that follows only sees about ``cap``
+    entries and returns what a full sort would.
     """
     flat = np.asarray(probs).reshape(-1)
-    above = np.flatnonzero(flat > PROB_FLOOR)
+    keep = flat > PROB_FLOOR
+    if cap is not None and 0 < cap < np.count_nonzero(keep):
+        # the cap-th largest entry lies above the floor, and so does every
+        # entry at or above it
+        kth = flat.shape[0] - cap
+        keep = flat >= np.partition(flat, kth)[kth]
+    above = np.flatnonzero(keep)
     return above[np.argsort(-flat[above], kind="stable")[:cap]]
 
 

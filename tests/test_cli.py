@@ -25,8 +25,9 @@ from qsinglet.cli import (
     validate_config,
 )
 from qsinglet.linalg import load_unitary, save_unitary
-from qsinglet.phase_estimation import MAX_REGISTER_QUBITS
+from qsinglet.phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
 from qsinglet.qudit import MAX_QUDIT_DIM
+from qsinglet.register import PROB_FLOOR
 
 SCHEMA = json.loads(
     resources.files("qsinglet").joinpath("report_schema.json").read_text()
@@ -187,6 +188,28 @@ class TestRunExperiment:
             assert p > 1e-12
         assert len(report["exact_distribution"]) <= 4096
         assert report["gate_uses"] == 2 * 7
+
+    def test_double_pe_distribution_cap_keeps_lower_index_on_a_tie(self):
+        """Off-grid n = 8 run whose 4096th and 4097th entries are an exact tie."""
+        config = {
+            "protocol": "double-pe",
+            "gate": {"dim": 2, "phases": [5.753913082936317, 0.5007266100522114],
+                     "seed": 440806662},
+            "shots": 0,
+            "seed": 1929232158,
+            "params": {"n": 8},
+        }
+        distribution = run_experiment(config)["exact_distribution"]
+        keys = list(distribution)
+        assert len(keys) == 4096
+        assert keys[-1] == "22,184" and "184,22" not in distribution
+        flat = run_double_pe(resolve_gate(config["gate"]), 8).exact_joint.reshape(-1)
+        above = [i for i in range(flat.shape[0]) if flat[i] > PROB_FLOOR]
+        ranked = sorted(above, key=lambda i: (-flat[i], i))
+        assert flat[ranked[4095]] == flat[ranked[4096]]
+        oracle = ranked[:4096]
+        assert keys == [f"{i // 256},{i % 256}" for i in oracle]
+        assert list(distribution.values()) == [float(flat[i]) for i in oracle]
 
     def test_qudit_gate_dimension_mismatch(self):
         config = {

@@ -19,7 +19,7 @@ from qsinglet.phase_estimation import (
     run_double_pe,
 )
 from qsinglet.protocols import SpectrumError
-from qsinglet.register import basis_state
+from qsinglet.register import State
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,6 +74,16 @@ class TestNearestGrid:
             nearest_grid(1.0, MAX_REGISTER_QUBITS + 1)
 
 
+def loop_amplitude(z, grid):
+    """Reference: the closed form evaluated on one Python-int reading."""
+    size = 2 ** grid.n
+    numerator = 1.0 - np.exp(2j * np.pi * grid.delta * size)
+    denominator = 1.0 - np.exp(2j * np.pi * ((grid.xbar - z) / size + grid.delta))
+    if denominator == 0.0:
+        return 1.0 + 0.0j
+    return complex(numerator / denominator / size)
+
+
 class TestGAmplitude:
     def test_on_grid_is_a_delta(self):
         grid = nearest_grid(TWO_PI * 3.0 / 8.0, 3)
@@ -105,6 +115,33 @@ class TestGAmplitude:
             g_amplitude(4, grid)
         with pytest.raises(ValueError):
             g_amplitude(-1, grid)
+        for readings in ([0, 1, 4], [-1, 0], [[0, 3], [2, 5]]):
+            with pytest.raises(ValueError):
+                g_amplitude(np.array(readings), grid)
+
+    def test_rejects_non_integer_reading(self):
+        grid = nearest_grid(0.1, 3)
+        for z in (3.7, 3.0, True, np.float64(2.0), np.array([0.0, 1.5]), np.array([True])):
+            with pytest.raises(ValueError):
+                g_amplitude(z, grid)
+
+    @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
+    def test_array_matches_scalar_calls_bitwise(self, n):
+        size = 2 ** n
+        rng = np.random.default_rng(70 + n)
+        on_grid = TWO_PI * rng.integers(0, size, size=3) / size
+        off_grid = rng.uniform(0.0, TWO_PI, size=3)
+        for phi in np.concatenate([on_grid, off_grid]):
+            grid = nearest_grid(phi, n)
+            profile = g_amplitude(np.arange(size), grid)
+            scalars = np.array([g_amplitude(z, grid) for z in range(size)])
+            loop = np.array([loop_amplitude(z, grid) for z in range(size)])
+            assert profile.dtype == complex and profile.shape == (size,)
+            assert np.array_equal(profile.view(float), scalars.view(float))
+            assert np.array_equal(profile.view(float), loop.view(float))
+            unsigned = g_amplitude(np.arange(size, dtype=np.uint16), grid)
+            assert np.array_equal(unsigned.view(float), profile.view(float))
+        assert type(g_amplitude(np.int64(1), grid)) is complex
 
 
 class TestInverseQft:
@@ -124,7 +161,7 @@ class TestInverseQft:
 
     def test_action_on_basis_state(self):
         n, y = 2, 3
-        out = inverse_qft(basis_state((2,) * n, (1, 1)), range(n))
+        out = inverse_qft(State((2,) * n, np.eye(2 ** n)[y]), range(n))
         expected = np.exp(-2j * np.pi * y * np.arange(4) / 4.0) / 2.0
         np.testing.assert_allclose(out.amps, expected, atol=1e-12)
 
@@ -145,7 +182,6 @@ class TestRunDoublePe:
         for branch in report.branches:
             assert abs(branch.fidelity_a - 1.0) <= 1e-12
             assert abs(branch.fidelity_b - 1.0) <= 1e-12
-            assert not branch.ambiguous_a and not branch.ambiguous_b
         # the two branches read opposite eigenphases, never the same one twice
         readings = {(b.z_a, b.z_b): (b.match_a, b.match_b) for b in report.branches}
         assert readings[(xbar1, xbar2)] == (0, 1)

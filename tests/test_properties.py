@@ -153,18 +153,15 @@ def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
         # the dense residual's reduced states are the reference
         mat = psi[branch.z_a, branch.z_b] / math.sqrt(joint[branch.z_a, branch.z_b])
         halves = (
-            (mat @ np.conjugate(mat).T, branch.z_a, branch.fidelity_a,
-             branch.match_a, branch.ambiguous_a),
-            (mat.T @ np.conjugate(mat), branch.z_b, branch.fidelity_b,
-             branch.match_b, branch.ambiguous_b),
+            (mat @ np.conjugate(mat).T, branch.z_a, branch.fidelity_a, branch.match_a),
+            (mat.T @ np.conjugate(mat), branch.z_b, branch.fidelity_b, branch.match_b),
         )
-        for rho, z, fid, match, ambiguous in halves:
+        for rho, z, fid, match in halves:
             fids = [float(np.real(np.vdot(system.vector(k), rho @ system.vector(k))))
                     for k in range(2)]
             assert abs(fid - fids[match]) <= 1e-10
             if abs(fid - 0.5) > 1e-9:
                 assert match == min(range(2), key=lambda k: (wrapped_distance(z, xbars[k], size), k))
-                assert ambiguous == (max(fids) < 0.5)
             if on_grid:
                 assert fid >= 1.0 - 1e-10
 

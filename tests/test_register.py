@@ -17,7 +17,6 @@ from qsinglet.register import (
     State,
     apply_controlled,
     apply_unitary,
-    basis_state,
     collapse,
     controlled_matrix,
     digits_to_index,
@@ -30,6 +29,13 @@ from qsinglet.register import (
     sample_counts,
     x_pattern_basis,
 )
+
+
+def basis_state(dims, digits) -> State:
+    """Computational basis state |digits> on a register of shape ``dims``."""
+    amps = np.zeros(math.prod(dims), dtype=complex)
+    amps[digits_to_index(dims, digits)] = 1.0
+    return State(tuple(dims), amps)
 
 
 def embed(op, dims, targets):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsinglet import register
 from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
@@ -109,3 +111,28 @@ def test_top_k_on_counts_orders_by_count_then_index():
     counts = np.array([0, 3, 1, 3, 0, 5, 1])
     assert top_k(counts, None).tolist() == [5, 1, 3, 2, 6]
     assert top_k(counts, 2).tolist() == [5, 1]
+
+
+# zero, the floor and its two neighbouring doubles
+FLOOR_ADJACENT = [0.0, np.nextafter(PROB_FLOOR, 0.0), PROB_FLOOR, np.nextafter(PROB_FLOOR, 1.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    size_bits=st.integers(0, 16),
+    symmetric=st.booleans(),
+    cap=st.sampled_from([1, 64, 4096, None]),
+    pool=st.lists(st.floats(1e-13, 1.0), min_size=1, max_size=4),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_top_k_matches_oracle_with_ties_across_the_cap(size_bits, symmetric, cap, pool, seed):
+    """Few distinct values, so ties straddle the cap, on flat and symmetric inputs."""
+    rng = np.random.default_rng(seed)
+    values = np.array(FLOOR_ADJACENT + pool)
+    if symmetric:
+        side = 2 ** (size_bits // 2)
+        upper = np.triu(rng.choice(values, size=(side, side)))
+        probs = upper + np.triu(upper, 1).T
+    else:
+        probs = rng.choice(values, size=2 ** size_bits)
+    assert top_k(probs, cap).tolist() == ranking_oracle(probs, cap)
