@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -29,9 +31,7 @@ from .protocols import (
     tomography_baseline,
 )
 from .qudit import MAX_QUDIT_DIM, run_qudit_minus_one
-from .register import top_k
 
-DISTRIBUTION_CAP = 4096
 # largest accepted shot count; bounds the time a sampled run can take
 MAX_SHOTS = 10 ** 9
 
@@ -104,11 +104,14 @@ def _double_pe(gate, shots, seed, n) -> dict:
         raise ValueError("double-pe runs on 2x2 gates")
     report = run_double_pe(gate, n, shots=shots, seed=seed)
     size = 2 ** n
-    flat = report.exact_joint.reshape(-1)
-    kept = top_k(flat, DISTRIBUTION_CAP)
-    keys = [f"{i // size},{i % size}" for i in kept.tolist()]
+    names = [str(z) for z in range(size)]
+    kept = report.ranked
+    keys = [
+        f"{names[za]},{names[zb]}"
+        for za, zb in zip((kept // size).tolist(), (kept % size).tolist())
+    ]
     body = {
-        "exact_distribution": dict(zip(keys, flat[kept].tolist())),
+        "exact_distribution": dict(zip(keys, report.exact_joint.reshape(-1)[kept].tolist())),
         "fidelities": {
             f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
         },
@@ -249,8 +252,53 @@ def resolve_gate(source) -> np.ndarray:
     )
 
 
+def _number_texts(values: list):
+    """The JSON text of each value when all are finite floats or all are ints, else None.
+
+    Each distinct float is formatted once. Equal numbers of different types
+    (1, 1.0, True) have different texts, and ``json.dumps`` spells NaN and the
+    infinities its own way, so maps holding those are left to it.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        distinct = set(values)
+        # the sum is finite unless a value is NaN or infinite (or it overflows)
+        if not math.isfinite(sum(distinct)):
+            return None
+        memo = dict(zip(distinct, map(float.__repr__, distinct)))
+        if 0.0 in memo:
+            # 0.0 == -0.0 but their texts differ, so zeros skip the memo
+            return [memo[v] if v else float.__repr__(v) for v in values]
+        return list(map(memo.__getitem__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return None
+
+
+def report_json(value, indent: str = "") -> str:
+    """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
+
+    A flat map of numbers (an ``exact_distribution`` or a ``histogram``) is
+    written as one join of its sorted ``"key": value`` lines, and an object
+    with string keys and some object value key by key; every other value goes
+    through ``json.dumps``. JSON strings hold no raw newline, so re-indenting
+    a nested value's lines changes nothing else.
+    """
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        inner = indent + "  "
+        keys = sorted(value)
+        values = [value[k] for k in keys]
+        texts = _number_texts(values)
+        if texts is None and any(type(v) is dict for v in values):
+            texts = [report_json(v, inner) for v in values]
+        if texts is not None:
+            lines = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
+            return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + indent + "}"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = report_json(report) + "\n"
     if out_path is None:
         sys.stdout.write(text)
     else:

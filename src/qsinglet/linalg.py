@@ -184,8 +184,9 @@ def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
     a, b = u[0, 0], u[0, 1]
     c, d = u[1, 0], u[1, 1]
     trace = a + d
-    det = a * d - b * c
-    root = np.sqrt(trace * trace - 4.0 * det + 0j)
+    # equals sqrt(trace^2 - 4 det) but does not cancel when the eigenvalues
+    # nearly coincide
+    root = np.sqrt((a - d) * (a - d) + 4.0 * b * c + 0j)
     lam1 = (trace + root) / 2.0
     lam2 = (trace - root) / 2.0
     if abs(lam1 - lam2) <= DEGENERACY_ATOL:

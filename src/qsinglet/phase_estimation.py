@@ -24,6 +24,9 @@ from .singlet import singlet_network
 
 MAX_REGISTER_QUBITS = 10
 PEAK_BOUND = 2.0 / math.pi
+# readings kept in a report's exact distribution, and of those the branches
+# analysed when no shots are drawn
+DISTRIBUTION_CAP = 4096
 EXACT_BRANCH_CAP = 64
 
 
@@ -114,12 +117,18 @@ class PeBranch:
 
 @dataclass(frozen=True)
 class PeReport:
-    """Exact joint readout distribution plus sampled shots."""
+    """Exact joint readout distribution plus sampled shots.
+
+    ``ranked`` holds the flat indices ``z_a * 2^n + z_b`` of the at most
+    ``DISTRIBUTION_CAP`` most likely readings above the probability floor,
+    largest first and ties in index order.
+    """
 
     n: int
     eigenphases: tuple
     grids: tuple
     exact_joint: np.ndarray
+    ranked: np.ndarray
     branches: tuple
     joint_histogram: dict
     shots_used: int
@@ -158,11 +167,11 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
     joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
 
-    ``shots = 0`` analyzes the exact joint distribution only (the most likely
-    branches, up to a cap); positive ``shots`` samples readings from it and
-    analyzes every distinct observed branch. Each branch records the residual
-    fidelity of both singlet halves against the eigenvector matching its
-    reading.
+    ``shots = 0`` analyzes the exact joint distribution only (the first
+    ``EXACT_BRANCH_CAP`` readings of ``ranked``); positive ``shots`` samples
+    readings from it and analyzes every distinct observed branch. Each branch
+    records the residual fidelity of both singlet halves against the
+    eigenvector matching its reading.
     """
     n = int(n)
     shots = int(shots)
@@ -198,13 +207,16 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
             match_b=match_b,
         )
 
+    # the order and the floor are the same at every cap, so the analysed
+    # branches are a prefix of the one ranking
+    ranked = top_k(joint, DISTRIBUTION_CAP)
     histogram = {}
     if shots > 0:
         counts, _ = sample_counts(joint, shots, seed)
         picked = top_k(counts, None)
         histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
     else:
-        picked = top_k(joint, EXACT_BRANCH_CAP)
+        picked = ranked[:EXACT_BRANCH_CAP]
 
     branches = tuple(analyze(*divmod(int(i), size)) for i in picked)
     return PeReport(
@@ -212,6 +224,7 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         eigenphases=tuple(float(p) for p in system.phases),
         grids=grids,
         exact_joint=joint,
+        ranked=ranked,
         branches=branches,
         joint_histogram=histogram,
         shots_used=shots,

@@ -25,7 +25,7 @@ from qsinglet.cli import (
     validate_config,
 )
 from qsinglet.linalg import load_unitary, save_unitary
-from qsinglet.phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
+from qsinglet.phase_estimation import MAX_REGISTER_QUBITS, g_amplitude, nearest_grid, run_double_pe
 from qsinglet.qudit import MAX_QUDIT_DIM
 from qsinglet.register import PROB_FLOOR
 
@@ -211,6 +211,47 @@ class TestRunExperiment:
         assert keys == [f"{i // 256},{i % 256}" for i in oracle]
         assert list(distribution.values()) == [float(flat[i]) for i in oracle]
 
+    @pytest.mark.parametrize(
+        "phases, gate_seed, seed",
+        [
+            # dpe-sweep seed 3 op 91 and seed 8 op 781: phases one grid step apart
+            ([0.5364083968167054, 0.5373964945013426], 895567054, 939623445),
+            ([5.850447811208377, 5.862266893484494], 74477395, 680545495),
+        ],
+    )
+    def test_double_pe_near_degenerate_gate_matches_its_nominal_phases(
+        self, phases, gate_seed, seed
+    ):
+        config = {
+            "protocol": "double-pe",
+            "gate": {"dim": 2, "phases": phases, "seed": gate_seed},
+            "shots": 0,
+            "seed": seed,
+            "params": {"n": 10},
+        }
+        distribution = run_experiment(config)["exact_distribution"]
+        g1, g2 = (g_amplitude(np.arange(1024), nearest_grid(p, 10)) for p in phases)
+        straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
+        joint = straight + straight.T
+        assert len(distribution) == 4096
+        for key, p in distribution.items():
+            za, zb = (int(z) for z in key.split(","))
+            assert abs(p - joint[za, zb]) <= 1e-12
+
+    def test_double_pe_refuses_a_degenerate_gate(self, tmp_path, capsys):
+        """-I on a Haar basis is degenerate; its eigenphases must not come out split."""
+        config = {
+            "protocol": "double-pe",
+            "gate": {"dim": 2, "phases": [np.pi, np.pi], "seed": 1259249279},
+            "shots": 0,
+            "seed": 0,
+            "params": {"n": 2},
+        }
+        assert run_cli(["run", "--config", write_config(tmp_path, config)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert set(report) == {"meta", "errors"}
+
     def test_qudit_gate_dimension_mismatch(self):
         config = {
             "protocol": "qudit-minus-one",
@@ -265,6 +306,33 @@ def test_every_protocol_report_validates(protocol):
     jsonschema.validate(report, SCHEMA)
     assert report["config"]["protocol"] == protocol
     assert report["gate_uses"] >= 1
+
+
+OFF_GRID_DOUBLE_PE = {
+    "protocol": "double-pe",
+    "gate": {"dim": 2, "phases": [5.753913082936317, 0.5007266100522114], "seed": 440806662},
+    "shots": 0,
+    "seed": 1929232158,
+    "params": {"n": 8},
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(PROTOCOL_CONFIGS[p] for p in sorted(PROTOCOL_CONFIGS)),
+        OFF_GRID_DOUBLE_PE,
+        dict(OFF_GRID_DOUBLE_PE, shots=1000),
+        dict(PM1_CONFIG, protocol="bogus"),
+    ],
+    ids=[*sorted(PROTOCOL_CONFIGS), "double-pe-off-grid", "double-pe-off-grid-shots", "errors"],
+)
+def test_report_bytes_are_json_dumps_of_the_report(tmp_path, config):
+    out = tmp_path / "report.json"
+    run_cli(["run", "--config", write_config(tmp_path, config), "--out", out])
+    text = out.read_text(encoding="utf-8")
+    # floats round-trip through their repr, so loading loses nothing
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 class TestMain:

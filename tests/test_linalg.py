@@ -10,6 +10,7 @@ from qsinglet.linalg import (
     EigenSystem,
     dagger,
     eigendecompose_2x2_unitary,
+    generate_gate,
     haar_random_unitary,
     is_unitary,
     load_unitary,
@@ -152,6 +153,25 @@ def test_eigendecompose_2x2_degenerate_global_phase():
     system = eigendecompose_2x2_unitary(u)
     assert system.degenerate
     np.testing.assert_allclose(system.phases, [0.7, 0.7], atol=1e-12)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_eigendecompose_2x2_phases_hold_near_degeneracy(gap):
+    """The discriminant (a - d)^2 + 4bc does not cancel as the eigenvalues meet,
+    so the phase error stays at rounding level rather than growing as 1/gap."""
+    rng = np.random.default_rng(int(-math.log10(gap)))
+    worst = 0.0
+    for seed in range(200):
+        low = float(rng.uniform(0.0, 2.0 * math.pi))
+        phases = [low, float(wrap_phase(low + gap))]
+        system = eigendecompose_2x2_unitary(generate_gate(2, phases, seed))
+        assert not system.degenerate
+        got = [float(p) for p in system.phases]
+        worst = max(worst, min(
+            max(phase_distance(got[0], phases[0]), phase_distance(got[1], phases[1])),
+            max(phase_distance(got[0], phases[1]), phase_distance(got[1], phases[0])),
+        ))
+    assert worst <= 4e-15
 
 
 def test_eigendecompose_2x2_near_diagonal():

@@ -7,6 +7,7 @@ import pytest
 
 from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
 from qsinglet.phase_estimation import (
+    DISTRIBUTION_CAP,
     EXACT_BRANCH_CAP,
     MAX_REGISTER_QUBITS,
     PEAK_BOUND,
@@ -19,7 +20,7 @@ from qsinglet.phase_estimation import (
     run_double_pe,
 )
 from qsinglet.protocols import SpectrumError
-from qsinglet.register import State
+from qsinglet.register import State, top_k
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,6 +229,19 @@ class TestRunDoublePe:
         assert 0 < len(report.branches) <= EXACT_BRANCH_CAP
         probs = [b.probability for b in report.branches]
         assert probs == sorted(probs, reverse=True)
+
+    @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
+    @pytest.mark.parametrize("offset", [0.0, 0.45])
+    def test_ranks_once_and_analyses_a_prefix(self, n, offset):
+        size = 2 ** n
+        # readings 1 and 0, both shifted off the grid by `offset` of a step
+        phases = [TWO_PI * (1 + offset) / size, TWO_PI * ((size - offset) % size) / size]
+        u = gate_with_phases(phases, n)
+        report = run_double_pe(u, n)
+        assert report.ranked.tolist() == top_k(report.exact_joint, DISTRIBUTION_CAP).tolist()
+        readings = [b.z_a * size + b.z_b for b in report.branches]
+        assert readings == report.ranked[:EXACT_BRANCH_CAP].tolist()
+        assert readings == top_k(report.exact_joint, EXACT_BRANCH_CAP).tolist()
 
     def test_sampling_determinism_and_counts(self):
         u = gate_with_phases([0.5, 2.5], 3)

@@ -4,7 +4,8 @@ For each drawn gate the exact distribution sums to 1, every branch that
 promises eigenstates delivers them, and sampling shots changes nothing but
 the histogram. Double phase estimation's closed form is checked against the
 simulated network it replaces. Through the command line, a valid config gives
-the same bytes on every run and a malformed one an errors report.
+the same bytes on every run and a malformed one an errors report, and the
+report writer writes what ``json.dumps`` would.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsinglet.cli import MAX_SHOTS, main
+from qsinglet.cli import MAX_SHOTS, main, report_json
 from qsinglet.linalg import (
     MAX_SEED,
     eigendecompose_2x2_unitary,
@@ -371,3 +372,36 @@ def test_refused_config_gives_errors_report(config):
     assert status == 1
     assert set(report) == {"meta", "errors"}
     jsonschema.validate(report, SCHEMA)
+
+
+# numbers that compare equal but print differently, plus the non-finite ones
+TRICKY_NUMBERS = [0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf, -math.inf]
+numbers = st.one_of(
+    st.sampled_from(TRICKY_NUMBERS), st.integers(), st.floats(allow_nan=True)
+)
+floats_with_repeats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1e-300, math.nan, math.inf, -math.inf]), st.floats()
+)
+json_values = st.recursive(
+    st.one_of(st.none(), st.text(), numbers),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+# flat maps of numbers take the writer's fast path when their types agree
+flat_maps = st.one_of(
+    st.dictionaries(st.text(max_size=6), floats_with_repeats, max_size=40),
+    st.dictionaries(st.text(max_size=6), st.integers(), max_size=40),
+    st.dictionaries(st.text(max_size=6), numbers, max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(json_values, flat_maps, st.dictionaries(st.text(max_size=4), flat_maps)))
+@example(value={"m": dict(zip("abcdefghi", TRICKY_NUMBERS)), "é": {"ü": -0.0, "ß": 0.0}})
+@example(value={"m": dict(zip("abcdefg", [0.0, -0.0, 0.0, math.nan, math.inf, 0.5, 0.5]))})
+@example(value={"e": {}, "l": [], "n": {"e": {}, "l": [[]]}})
+@example(value={"h": {"1,2": 3, "0,1": 1, "2,2": 3}})
+def test_report_writer_equals_json_dumps(value):
+    assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
