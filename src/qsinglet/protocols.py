@@ -5,7 +5,8 @@ Every protocol here shares one trick: feed half of a two-qubit singlet through
 a controlled power of the gate, then read the control side in a basis that
 tags which eigenstate landed on which wire. The exact branch analysis (Born
 probabilities, per-wire fidelities, eigenphase assignments) is always
-computed; sampling only draws shots from it.
+computed on the gate's eigenbasis by :func:`readout`, with the dense
+``*_output_state`` networks as its test reference; sampling only draws shots.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrimination import FAIL_LABEL, build_idp_povm, equatorial_state
+from .discrimination import FAIL_LABEL, equatorial_state
 from .linalg import (
     EigenSystem,
     eigendecompose_2x2_unitary,
@@ -24,18 +25,8 @@ from .linalg import (
     require_unitary,
     wrap_phase,
 )
-from .register import (
-    PROB_FLOOR,
-    State,
-    apply_controlled,
-    collapse,
-    extract_subsystem,
-    fidelity,
-    outcome_distribution,
-    sample_counts,
-    x_pattern_basis,
-)
-from .singlet import singlet_network
+from .register import PROB_FLOOR, State, sample_counts, x_pattern_basis
+from .singlet import network_output_state, singlet_network, singlet_weights
 
 SPECTRUM_ATOL = 1e-8
 
@@ -74,26 +65,9 @@ class ProtocolReport:
     gate_uses: int
 
 
-def _apply_network(state: State, gates) -> tuple:
-    uses = 0
-    for gate in gates:
-        state = apply_controlled(state, gate)
-        uses += gate.power
-    return state, uses
-
-
-def _branch(probability, residual, wires, system, eigen_indices) -> BranchReport:
-    """A branch whose ``wires`` should hold the eigenvectors ``eigen_indices``."""
-    fids = tuple(
-        fidelity(extract_subsystem(residual, w), system.vector(k))
-        for w, k in zip(wires, eigen_indices)
-    )
-    phases = tuple(float(system.phases[k]) for k in eigen_indices)
-    return BranchReport(probability, fids, phases)
-
-
-def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses):
-    """ProtocolReport over labelled outcomes, with ``shots`` seeded draws."""
+def labelled_report(name, wires, labels, probs, branches, seed, shots, wiring):
+    """ProtocolReport over labelled outcomes, with ``shots`` seeded draws, of
+    a network that uses the gate as often as ``wiring``'s powers add up to."""
     shots = int(shots)
     if shots < 0:
         raise ValueError("shots must be nonnegative")
@@ -112,22 +86,41 @@ def labelled_report(name, wires, labels, probs, branches, seed, shots, gate_uses
         outcome_label=outcome,
         shots_used=shots,
         seed=int(seed),
-        gate_uses=int(gate_uses),
+        gate_uses=sum(power for _, _, power in wiring),
     )
 
 
-def readout(out: State, measured, basis, labels, branch) -> tuple:
-    """Exact probabilities of reading ``measured`` in ``basis``, in basis order,
-    and ``branch(index, p, residual)`` for each outcome above PROB_FLOOR, keyed
-    by label, with ``residual`` the state collapsed onto that outcome."""
-    dist = outcome_distribution(out, measured, basis, labels)
+def readout(phases, wiring, rows, labels, branch) -> tuple:
+    """Probabilities of the outcomes |row><row| of ``rows`` on the controls of
+    the singlet network ``wiring``, for a gate with eigenphases ``phases``, in
+    row order; and ``branch(index, p, fidelity)`` keyed by label for each one
+    above PROB_FLOOR, with ``fidelity(party, k)`` the fidelity of singlet party
+    ``party`` with eigenvector ``k`` (see :func:`singlet.singlet_weights`).
+    """
+    perms, weights = singlet_weights(phases, wiring, rows)
+    probs = weights.mean(axis=1).tolist()
     branches = {}
-    for index, (label, p) in enumerate(dist):
+    for index, p in enumerate(probs):
         if p <= PROB_FLOOR:
             continue
-        _, residual = collapse(out, measured, basis, index)
-        branches[label] = branch(index, p, residual)
-    return [p for _, p in dist], branches
+        row = weights[index]
+
+        def fidelity(party, k, row=row):
+            return float(row[perms[:, party] == k].sum() / row.sum())
+
+        branches[labels[index]] = branch(index, p, fidelity)
+    return probs, branches
+
+
+def _eigen_readout(system: EigenSystem, wiring, rows, labels, assignment) -> tuple:
+    """:func:`readout` of a 2x2 gate whose outcome ``index`` should leave the
+    eigenvectors ``assignment[index]`` of ``system`` on singlet parties 0, 1."""
+
+    def branch(index, p, fidelity) -> BranchReport:
+        fids = tuple(fidelity(party, k) for party, k in enumerate(assignment[index]))
+        return BranchReport(p, fids, tuple(float(system.phases[k]) for k in assignment[index]))
+
+    return readout(system.phases, wiring, rows, labels, branch)
 
 
 def distinct_eigensystem(u: np.ndarray) -> EigenSystem:
@@ -138,6 +131,11 @@ def distinct_eigensystem(u: np.ndarray) -> EigenSystem:
     return system
 
 
+def _phase_texts(phases) -> str:
+    # nine decimals, one below SPECTRUM_ATOL, keep solver noise out of error texts
+    return "[" + ", ".join(f"{float(p):.9f}" for p in phases) + "]"
+
+
 def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> list:
     """Bijection from required phases to eigenvector indices, or SpectrumError."""
     remaining = list(range(system.dim))
@@ -146,24 +144,28 @@ def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> 
         hits = [k for k in remaining if phase_distance(float(system.phases[k]), target) <= atol]
         if len(hits) != 1:
             raise SpectrumError(
-                f"gate eigenphases {[float(p) for p in system.phases]} do not match "
-                f"{[float(t) for t in targets]} within {atol:g}"
+                f"gate eigenphases {_phase_texts(system.phases)} do not match "
+                f"{_phase_texts(targets)} within {atol:g}"
             )
         matched.append(hits[0])
         remaining.remove(hits[0])
     return matched
 
 
-def control_singlet_network(u: np.ndarray, powers) -> tuple:
-    """Network of the two-wire protocols: one control qubit applying each of
+def control_wiring(powers) -> tuple:
+    """Wiring of the two-wire protocols: one control qubit applying each of
     ``powers`` in turn to the first singlet party."""
-    return singlet_network(u, [(0, 0, power) for power in powers])
+    return tuple((0, 0, power) for power in powers)
+
+
+def control_singlet_network(u: np.ndarray, powers) -> tuple:
+    """Network of the two-wire protocols, see :func:`control_wiring`."""
+    return singlet_network(u, control_wiring(powers))
 
 
 def pm1_output_state(u: np.ndarray) -> State:
     """Pre-measurement three-qubit state of the +-1 protocol."""
-    out, _ = _apply_network(*control_singlet_network(u, [1]))
-    return out
+    return network_output_state(u, control_wiring([1]))
 
 
 def _x_readout(name, u, powers, targets, seed, shots) -> ProtocolReport:
@@ -175,15 +177,11 @@ def _x_readout(name, u, powers, targets, seed, shots) -> ProtocolReport:
     """
     system = distinct_eigensystem(u)
     first, second = _match_phases(system, targets)
-    out, uses = _apply_network(*control_singlet_network(u, powers))
+    wiring = control_wiring(powers)
     basis, labels = x_pattern_basis(1)
-    wires = (1, 2)
     assignment = ((first, second), (second, first))
-    probs, branches = readout(
-        out, [0], basis, labels,
-        lambda i, p, residual: _branch(p, residual, wires, system, assignment[i]),
-    )
-    return labelled_report(name, wires, labels, probs, branches, seed, shots, uses)
+    probs, branches = _eigen_readout(system, wiring, basis, labels, assignment)
+    return labelled_report(name, (1, 2), labels, probs, branches, seed, shots, wiring)
 
 
 def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -221,33 +219,19 @@ def protocol_known_phases(
         raise ValueError("theta1 and theta2 must differ")
     system = distinct_eigensystem(u)
     idx1, idx2 = _match_phases(system, [theta1, theta2])
-    out, uses = _apply_network(*control_singlet_network(u, [1]))
-    wires = (1, 2)
+    wiring = control_wiring([1])
 
+    # optimal unambiguous discrimination of the pointer states: element "v1" is
+    # |r><r|, r = perp(v2)/sqrt(1 + |<v1|v2>|), "v2" likewise; "fail" the rest
     v1 = equatorial_state(theta1)
     v2 = equatorial_state(theta2)
-    povm = build_idp_povm(v1, v2)
-    mat = out.tensor().reshape(2, -1)
-    rho_control = mat @ np.conjugate(mat).T
-    probs = [max(float(np.real(np.trace(e @ rho_control))), 0.0) for e in povm.elements]
-
-    # conclusive elements are rank 1, so conditioning is a plain projection of
-    # the control onto the state the element does not annihilate
-    branches = {}
-    for label, kill, eigen_indices in (
-        ("v1", v2, (idx1, idx2)),
-        ("v2", v1, (idx2, idx1)),
-    ):
-        rest = np.conjugate(qubit_perp(kill)) @ mat
-        norm = np.linalg.norm(rest)
-        if norm <= math.sqrt(PROB_FLOOR):
-            continue
-        p = probs[list(povm.labels).index(label)]
-        branches[label] = _branch(p, State((2, 2), rest / norm), (0, 1), system, eigen_indices)
+    rows = np.stack([qubit_perp(v2), qubit_perp(v1)]) / math.sqrt(1.0 + abs(np.vdot(v1, v2)))
+    assignment = ((idx1, idx2), (idx2, idx1))
+    probs, branches = _eigen_readout(system, wiring, rows, ["v1", "v2"], assignment)
+    probs.append(max(1.0 - probs[0] - probs[1], 0.0))
     branches[FAIL_LABEL] = BranchReport(probs[2])
-    return labelled_report(
-        "known-phases", wires, list(povm.labels), probs, branches, seed, shots, uses
-    )
+    labels = ["v1", "v2", FAIL_LABEL]
+    return labelled_report("known-phases", (1, 2), labels, probs, branches, seed, shots, wiring)
 
 
 ETA_LABELS = {0: "eta(1)", 1: "eta(i)", 2: "eta(-1)", 3: "eta(-i)"}
@@ -258,13 +242,16 @@ def eta_state(z: complex) -> State:
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-10:
         raise ValueError("eta is defined for unit-modulus z")
-    amps = np.array([1.0, z, z ** 2, z ** 3], dtype=complex) / 2.0
-    return State((2, 2), amps)
+    return State((2, 2), _eta_amps(z))
+
+
+def _eta_amps(z: complex) -> np.ndarray:
+    return np.array([1.0, z, z ** 2, z ** 3], dtype=complex) / 2.0
 
 
 def eta_basis():
     """Orthonormal basis {eta(i^k)} of two qubits, labels eta(1), eta(i), ..."""
-    vectors = [eta_state(1j ** k).amps for k in range(4)]
+    vectors = [_eta_amps(1j ** k) for k in range(4)]
     labels = [ETA_LABELS[k] for k in range(4)]
     return np.stack(vectors), labels
 
@@ -276,8 +263,7 @@ QUARTET_WIRING = ((1, 0, 1), (0, 0, 2))
 
 def quartet_output_state(u: np.ndarray) -> State:
     """Pre-measurement four-qubit state of the quartet protocol."""
-    out, _ = _apply_network(*singlet_network(u, QUARTET_WIRING))
-    return out
+    return network_output_state(u, QUARTET_WIRING)
 
 
 def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -294,22 +280,17 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
         k = int(round(float(phase) / quarter)) % 4
         if phase_distance(float(phase), k * quarter) > SPECTRUM_ATOL:
             raise SpectrumError(
-                f"gate eigenphase {float(phase)!r} is not a multiple of pi/2 within "
+                f"gate eigenphase {float(phase):.9f} is not a multiple of pi/2 within "
                 f"{SPECTRUM_ATOL:g}"
             )
         ks.append(k)
     if ks[0] == ks[1]:
         raise SpectrumError("gate eigenvalues must be distinct fourth roots of unity")
 
-    out, uses = _apply_network(*singlet_network(u, QUARTET_WIRING))
     basis, labels = eta_basis()
-    wires = (2, 3)
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
-    probs, branches = readout(
-        out, [0, 1], basis, labels,
-        lambda k, p, residual: _branch(p, residual, wires, system, eigen_for_k[k]),
-    )
-    return labelled_report("quartet", wires, labels, probs, branches, seed, shots, uses)
+    probs, branches = _eigen_readout(system, QUARTET_WIRING, basis, labels, eigen_for_k)
+    return labelled_report("quartet", (2, 3), labels, probs, branches, seed, shots, QUARTET_WIRING)
 
 
 @dataclass(frozen=True)

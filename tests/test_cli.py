@@ -1,6 +1,7 @@
 """Tests for the command line runner and its JSON report contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from qsinglet.cli import (
 from qsinglet.linalg import load_unitary, save_unitary
 from qsinglet.phase_estimation import MAX_REGISTER_QUBITS, g_amplitude, nearest_grid, run_double_pe
 from qsinglet.qudit import MAX_QUDIT_DIM
-from qsinglet.register import PROB_FLOOR
+from qsinglet.register import PROB_FLOOR, State
 
 SCHEMA = json.loads(
     resources.files("qsinglet").joinpath("report_schema.json").read_text()
@@ -308,6 +309,52 @@ def test_every_protocol_report_validates(protocol):
     assert report["gate_uses"] >= 1
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_CONFIGS))
+def test_no_run_builds_a_dense_state(protocol, monkeypatch):
+    """Every runner reads its report off closed forms; the dense simulator is
+    only a test reference."""
+
+    def refuse(self):
+        raise AssertionError("a run built a dense State")
+
+    monkeypatch.setattr(State, "__post_init__", refuse)
+    least = 1 if protocol == "tomography" else 0
+    for shots in (least, 8):
+        report = run_experiment(dict(PROTOCOL_CONFIGS[protocol], shots=shots))
+        assert report["gate_uses"] >= 1
+
+
+def near_equal_known_phases(p_conclusive):
+    """Known-phases on phases 0.5 and 0.5 + delta, delta chosen so that each
+    conclusive outcome has probability ``p_conclusive``."""
+    theta2 = 0.5 + 2.0 * math.acos(1.0 - 2.0 * p_conclusive)
+    return {
+        "protocol": "known-phases",
+        "gate": {"dim": 2, "phases": [0.5, theta2], "seed": 3},
+        "shots": 0, "seed": 0, "params": {"theta1": 0.5, "theta2": theta2},
+    }
+
+
+# at 1.5e-12 and below the conclusive outcomes sit within a factor of two of
+# PROB_FLOOR, so doubling or halving the floor moves a key set
+@pytest.mark.parametrize(
+    "p_conclusive, keys",
+    [
+        *((p, {"fail"}) for p in (1e-13, 4e-13, 7e-13, 9e-13)),
+        *((p, {"fail", "v1", "v2"}) for p in (1.5e-12, 2e-12)),
+    ],
+)
+def test_known_phases_keeps_conclusive_branches_above_the_floor(tmp_path, p_conclusive, keys):
+    out = tmp_path / "report.json"
+    config = write_config(tmp_path, near_equal_known_phases(p_conclusive))
+    assert run_cli(["run", "--config", config, "--out", out]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["fidelities"]) == keys
+    # rounding 1 - 2 p_conclusive moves the probability by up to 6e-4 relative
+    assert abs(report["exact_distribution"]["v1"] - p_conclusive) <= 1e-3 * p_conclusive
+    assert all(min(f) >= 1.0 - 1e-10 for f in report["fidelities"].values() if f is not None)
+
+
 OFF_GRID_DOUBLE_PE = {
     "protocol": "double-pe",
     "gate": {"dim": 2, "phases": [5.753913082936317, 0.5007266100522114], "seed": 440806662},
@@ -381,6 +428,16 @@ class TestMain:
         assert run_cli(["run", "--config", path]) == 1
         report = json.loads(capsys.readouterr().out)
         assert any("eigenphase" in e for e in report["errors"])
+
+    def test_spectrum_error_text_is_free_of_solver_noise(self, tmp_path, capsys):
+        # the computed phases of these gates differ in their last bits
+        texts = set()
+        for gate_seed in range(12):
+            gate = {"dim": 2, "phases": [0.0, np.pi / 2], "seed": gate_seed}
+            path = write_config(tmp_path, dict(PM1_CONFIG, gate=gate))
+            assert run_cli(["run", "--config", path]) == 1
+            texts.add(tuple(json.loads(capsys.readouterr().out)["errors"]))
+        assert len(texts) == 1
 
     def test_gen_gate_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "gate.json"

@@ -2,10 +2,11 @@
 
 For each drawn gate the exact distribution sums to 1, every branch that
 promises eigenstates delivers them, and sampling shots changes nothing but
-the histogram. Double phase estimation's closed form is checked against the
-simulated network it replaces. Through the command line, a valid config gives
-the same bytes on every run and a malformed one an errors report, and the
-report writer writes what ``json.dumps`` would.
+the histogram. Every protocol's eigenbasis analysis, and double phase
+estimation's closed form, is checked against the simulated network it
+replaces. Through the command line, a valid config gives the same bytes on
+every run and a malformed one an errors report, and the report writer writes
+what ``json.dumps`` would.
 """
 
 import itertools
@@ -21,20 +22,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsinglet.cli import MAX_SHOTS, main, report_json
+from qsinglet.discrimination import build_idp_povm, equatorial_state
 from qsinglet.linalg import (
     MAX_SEED,
+    EigenSystem,
     eigendecompose_2x2_unitary,
     generate_gate,
     haar_random_unitary,
+    unitary_from_eigensystem,
+    wrap_phase,
 )
 from qsinglet.phase_estimation import double_pe_output_state, nearest_grid, run_double_pe
 from qsinglet.protocols import (
+    control_wiring,
+    eta_state,
+    pm1_output_state,
     protocol_known_phases,
     protocol_pm1,
     protocol_quartet,
     protocol_square_trick,
+    quartet_output_state,
+    readout,
 )
-from qsinglet.qudit import householder_reflection, run_qudit_minus_one
+from qsinglet.qudit import (
+    INVOLUTION_ATOL,
+    householder_reflection,
+    minus_one_output_state,
+    run_qudit_minus_one,
+    spectrum_check_minus_one,
+)
+from qsinglet.register import x_pattern_basis
+from qsinglet.singlet import network_output_state
 
 SHOTS = 257
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -67,18 +85,75 @@ def check_readout(run):
     return exact
 
 
+# the eigenbasis analysis against the dense network: probabilities within
+# P_ATOL, and fidelities within F_ATOL wherever the dense reference's own
+# ratio keeps its digits (probability above DENSE_P_MIN)
+P_ATOL = 1e-12
+F_ATOL = 1e-10
+DENSE_P_MIN = 1e-6
+
+
+def dense_readout(out, rows, vectors):
+    """Reference analysis of reading the control qubits of the dense network
+    state ``out`` with one outcome per row (element |row><row|).
+
+    Returns (probs, fids) with fids[m][w][j] = <v_j|rho_w|v_j> of singlet
+    party w in the residual of outcome m, v_j the columns of ``vectors``.
+    """
+    d = vectors.shape[0]
+    residuals = np.conjugate(rows) @ out.amps.reshape(rows.shape[1], -1)
+    probs = np.sum(np.abs(residuals) ** 2, axis=1)
+    fids = []
+    for residual, p in zip(residuals, probs):
+        tensor = residual.reshape((d,) * d)
+        fids.append([
+            np.sum(np.abs(np.conjugate(vectors).T @ np.moveaxis(tensor, w, 0).reshape(d, -1)) ** 2,
+                   axis=1) / p
+            for w in range(d)
+        ])
+    return probs, fids
+
+
+def assert_matches_dense(report, out, rows, vectors, located):
+    """``report``'s probabilities, in row order, and each branch's fidelities
+    ``located(branch)``, as (fidelity, party, column of vectors), equal the
+    dense reference's."""
+    probs, fids = dense_readout(out, rows, vectors)
+    labels = list(report.exact_distribution)
+    for label, p in zip(labels, probs):
+        assert abs(report.exact_distribution[label] - p) <= P_ATOL
+    for label, branch in report.branches.items():
+        if label in labels[:len(rows)] and probs[labels.index(label)] > DENSE_P_MIN:
+            for fid, party, column in located(branch):
+                assert abs(fid - fids[labels.index(label)][party][column]) <= F_ATOL
+
+
+def assert_two_wire_matches_dense(report, u, out, rows):
+    system = eigendecompose_2x2_unitary(u)
+    phases = list(system.phases)
+
+    def located(branch):
+        return [(f, w, phases.index(phase))
+                for w, (f, phase) in enumerate(zip(branch.fidelities, branch.eigenphases))]
+
+    assert_matches_dense(report, out, rows, system.vectors, located)
+
+
 @PROPERTY
 @given(seed=seeds, swap=orders, shot_seed=seeds)
 def test_pm1(seed, swap, shot_seed):
     u = two_phase_gate((0.0, math.pi), swap, seed)
-    check_readout(lambda shots: protocol_pm1(u, shot_seed, shots))
+    exact = check_readout(lambda shots: protocol_pm1(u, shot_seed, shots))
+    assert_two_wire_matches_dense(exact, u, pm1_output_state(u), x_pattern_basis(1)[0])
 
 
 @PROPERTY
 @given(seed=seeds, swap=orders, shot_seed=seeds)
 def test_square_trick(seed, swap, shot_seed):
     u = two_phase_gate((0.0, math.pi / 2.0), swap, seed)
-    check_readout(lambda shots: protocol_square_trick(u, shot_seed, shots))
+    exact = check_readout(lambda shots: protocol_square_trick(u, shot_seed, shots))
+    out = network_output_state(u, control_wiring([1, 1]))
+    assert_two_wire_matches_dense(exact, u, out, x_pattern_basis(1)[0])
 
 
 @PROPERTY
@@ -88,7 +163,9 @@ def test_square_trick(seed, swap, shot_seed):
 )
 def test_quartet_every_fourth_root_pair(pair, seed, swap, shot_seed):
     u = two_phase_gate([k * math.pi / 2.0 for k in pair], swap, seed)
-    check_readout(lambda shots: protocol_quartet(u, shot_seed, shots))
+    exact = check_readout(lambda shots: protocol_quartet(u, shot_seed, shots))
+    rows = np.stack([eta_state(1j ** k).amps for k in range(4)])
+    assert_two_wire_matches_dense(exact, u, quartet_output_state(u), rows)
 
 
 @PROPERTY
@@ -100,7 +177,25 @@ def test_quartet_every_fourth_root_pair(pair, seed, swap, shot_seed):
 def test_known_phases_separated_pairs(theta1, gap, seed, swap, shot_seed):
     theta2 = math.fmod(theta1 + gap, 2.0 * math.pi)
     u = two_phase_gate((theta1, theta2), swap, seed)
-    check_readout(lambda shots: protocol_known_phases(u, theta1, theta2, shot_seed, shots))
+    exact = check_readout(lambda shots: protocol_known_phases(u, theta1, theta2, shot_seed, shots))
+    # the conclusive POVM elements are rank 1: |r><r| with r their top eigenvector
+    povm = build_idp_povm(equatorial_state(theta1), equatorial_state(theta2))
+    rows = []
+    for element in povm.elements[:2]:
+        values, vectors = np.linalg.eigh(element)
+        rows.append(math.sqrt(values[-1]) * vectors[:, -1])
+    out = network_output_state(u, control_wiring([1]))
+    assert_two_wire_matches_dense(exact, u, out, np.stack(rows))
+    control = out.amps.reshape(2, -1)
+    p_fail = np.real(np.trace(povm.elements[2] @ control @ np.conjugate(control).T))
+    assert abs(exact.exact_distribution["fail"] - p_fail) <= P_ATOL
+
+
+def assert_qudit_matches_dense(report, u):
+    d = u.shape[0]
+    target = spectrum_check_minus_one(u)[:, None]
+    assert_matches_dense(report, minus_one_output_state(u), x_pattern_basis(d - 1)[0], target,
+                         lambda branch: [(branch.fidelity, branch.located_wire, 0)])
 
 
 @PROPERTY
@@ -110,6 +205,58 @@ def test_qudit_minus_one_householder(d, seed, shot_seed):
     exact = check_readout(lambda shots: run_qudit_minus_one(u, shot_seed, shots))
     # every allowed pattern, one per singlet party, occurs
     assert len(exact.branches) == d
+    assert_qudit_matches_dense(exact, u)
+
+
+@PROPERTY
+@given(
+    d=st.integers(min_value=2, max_value=5), seed=seeds,
+    defect=st.floats(min_value=0.0, max_value=0.9 * INVOLUTION_ATOL),
+)
+def test_qudit_near_the_involution_tolerance_matches_dense(d, seed, defect):
+    """The analysis assumes the phases pi, 0, ..., 0 exactly; an accepted gate
+    may miss them by up to the involution tolerance."""
+    # |exp(2i eps) - 1| <= 2|eps| bounds every entry of u @ u - I
+    eps = np.random.default_rng(seed).uniform(-0.5, 0.5, size=d) * defect
+    phases = wrap_phase(np.array([math.pi] + [0.0] * (d - 1)) + eps)
+    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(d, seed), phases))
+    assert np.max(np.abs(u @ u - np.eye(d))) <= INVOLUTION_ATOL
+    assert_qudit_matches_dense(run_qudit_minus_one(u, shots=0), u)
+
+
+@st.composite
+def networks(draw):
+    """(phases, wiring, rows): D = 2..4 eigenphases, one to three controls
+    each applying powers 1..3 to singlet parties, and a Haar readout basis."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    controls = draw(st.integers(min_value=1, max_value=3))
+    entry = st.tuples(
+        st.integers(0, controls - 1), st.integers(0, d - 1), st.integers(1, 3)
+    )
+    wiring = draw(st.lists(entry, min_size=1, max_size=4))
+    wiring.append((controls - 1, draw(st.integers(0, d - 1)), draw(st.integers(1, 3))))
+    phases = draw(st.lists(angles, min_size=d, max_size=d))
+    rows = haar_random_unitary(2 ** controls, draw(seeds))
+    return phases, wiring, rows
+
+
+@PROPERTY
+@given(network=networks(), seed=seeds)
+def test_eigenbasis_readout_matches_dense_network(network, seed):
+    phases, wiring, rows = network
+    d = len(phases)
+    vectors = haar_random_unitary(d, seed)
+    u = unitary_from_eigensystem(EigenSystem(vectors, wrap_phase(np.array(phases))))
+    labels = [str(m) for m in range(len(rows))]
+    probs, branches = readout(
+        phases, wiring, rows, labels,
+        lambda m, p, fidelity: [[fidelity(w, k) for k in range(d)] for w in range(d)],
+    )
+    dense_probs, dense_fids = dense_readout(network_output_state(u, wiring), rows, vectors)
+    assert np.max(np.abs(np.array(probs) - dense_probs)) <= P_ATOL
+    for label, fids in branches.items():
+        if dense_probs[int(label)] > DENSE_P_MIN:
+            assert np.max(np.abs(np.array(fids) - np.array(dense_fids[int(label)]))) <= F_ATOL
 
 
 @st.composite
