@@ -111,7 +111,7 @@ def _double_pe(gate, shots, seed, n) -> dict:
         for za, zb in zip((kept // size).tolist(), (kept % size).tolist())
     ]
     body = {
-        "exact_distribution": dict(zip(keys, report.exact_joint.reshape(-1)[kept].tolist())),
+        "exact_distribution": dict(zip(keys, report.ranked_probabilities.tolist())),
         "fidelities": {
             f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
         },

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import TWO_PI, phase_distance, wrap_phase
 from .protocols import SPECTRUM_ATOL, SpectrumError, distinct_eigensystem
-from .register import State, apply_controlled, apply_unitary, sample_counts, top_k
+from .register import PROB_FLOOR, State, apply_controlled, apply_unitary, sample_counts, top_k
 from .singlet import singlet_network
 
 MAX_REGISTER_QUBITS = 10
@@ -28,6 +29,9 @@ PEAK_BOUND = 2.0 / math.pi
 # analysed when no shots are drawn
 DISTRIBUTION_CAP = 4096
 EXACT_BRANCH_CAP = 64
+# relative slack on the ranking's candidate bound: far above the few ulps by
+# which |g1|^2 |g2|^2 and |g1 g2|^2 can differ
+RANK_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -117,23 +121,32 @@ class PeBranch:
 
 @dataclass(frozen=True)
 class PeReport:
-    """Exact joint readout distribution plus sampled shots.
+    """Ranked joint readout distribution plus sampled shots.
 
-    ``ranked`` holds the flat indices ``z_a * 2^n + z_b`` of the at most
-    ``DISTRIBUTION_CAP`` most likely readings above the probability floor,
-    largest first and ties in index order.
+    ``profiles`` holds the register amplitudes g_1 and g_2 of the two
+    eigenphases over all 2^n readings. ``ranked`` holds the flat indices
+    ``z_a * 2^n + z_b`` of the at most ``DISTRIBUTION_CAP`` most likely
+    readings above the probability floor, largest first and ties in index
+    order, and ``ranked_probabilities`` their joint probabilities.
+    ``exact_joint``, the dense 2^n x 2^n joint, is built on first read.
     """
 
     n: int
     eigenphases: tuple
     grids: tuple
-    exact_joint: np.ndarray
+    profiles: tuple
     ranked: np.ndarray
+    ranked_probabilities: np.ndarray
     branches: tuple
     joint_histogram: dict
     shots_used: int
     seed: int
     gate_uses: int
+
+    @cached_property
+    def exact_joint(self) -> np.ndarray:
+        """Dense 2^n x 2^n joint readout distribution, indexed [z_a, z_b]."""
+        return _dense_joint(*self.profiles)
 
 
 def double_pe_output_state(u: np.ndarray, n: int) -> State:
@@ -154,9 +167,91 @@ def double_pe_output_state(u: np.ndarray, n: int) -> State:
     return inverse_qft(state, range(n, 2 * n))
 
 
-def _wrapped_reading_distance(z: int, xbar: int, size: int) -> int:
-    d = abs(z - xbar) % size
-    return min(d, size - d)
+def _dense_joint(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Joint S + S^T with S = |g_1(z_a) g_2(z_b)|^2 / 2 over all 4^n readings."""
+    straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
+    return straight + straight.T
+
+
+def _joint_entries(g1: np.ndarray, g2: np.ndarray, z_a: np.ndarray, z_b: np.ndarray):
+    """(joint, straight) probabilities of readings (z_a, z_b).
+
+    Each entry is the same expression, in the same order, as in the dense
+    joint, so the values match :attr:`PeReport.exact_joint` bit for bit.
+    """
+    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
+    return straight + np.abs(g1[z_b] * g2[z_a]) ** 2 / 2.0, straight
+
+
+def _prefix_pairs(widths: np.ndarray):
+    """Positions (a, b) with b < widths[a], row by row."""
+    a = np.repeat(np.arange(widths.shape[0]), widths)
+    b = np.arange(a.shape[0]) - np.repeat(np.cumsum(widths) - widths, widths)
+    return a, b
+
+
+def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
+    """Flat indices and probabilities of the joint's top ``cap`` readings.
+
+    Equal, bit for bit, to ``top_k(J, cap)`` for the dense joint J = S + S^T
+    and J's entries there, but read off the two profiles. J >= S entrywise,
+    so J's cap-th largest value is at least S's, S_(cap), and every reading
+    ``top_k`` keeps has max(S_ab, S_ba) >= max(S_(cap), PROB_FLOOR) / 2. With
+    x = |g_1|^2 and y = |g_2|^2 sorted descending, product x_a y_b = 2 S_ab
+    has (a+1)(b+1) products at least as large, so the cap largest lie on the
+    staircase (a+1)(b+1) <= cap. Only the readings above the bound and their
+    transposes are evaluated, so memory stays O(2^n + candidates).
+    """
+    size = g1.shape[0]
+    x, y = np.abs(g1) ** 2, np.abs(g2) ** 2
+    order_x, order_y = np.argsort(-x), np.argsort(-y)
+    xs, ys = x[order_x], y[order_y]
+    # only products above 2 PROB_FLOOR can lift the bound off the floor, so
+    # the staircase spans just the rows and columns that reach one
+    rows = np.count_nonzero(xs * ys[0] > 2.0 * PROB_FLOOR)
+    columns = np.count_nonzero(ys * xs[0] > 2.0 * PROB_FLOOR)
+    a, b = _prefix_pairs(np.minimum(cap // np.arange(1, rows + 1), columns))
+    products = xs[a] * ys[b]
+    kth = products.shape[0] - cap
+    largest = float(np.partition(products, kth)[kth]) if kth >= 0 else 0.0
+    # x_a y_b = 2 S_ab, so the bound max(S_(cap), floor) / 2 on S_ab reads
+    # max(S_(cap), floor) on x_a y_b
+    bound = max(largest / 2.0, PROB_FLOOR) * (1.0 - RANK_SLACK)
+    # row a pairs with the columns where ys >= bound / xs[a]; dividing only by
+    # the rows that reach the bound keeps exact zeros (grid phases such as 0
+    # and pi) from raising a division warning
+    rows = np.count_nonzero(xs * ys[0] >= bound)
+    a, b = _prefix_pairs(np.searchsorted(-ys, -bound / xs[:rows], side="right"))
+    z_a, z_b = order_x[a], order_y[b]
+    # the peak pair always clears the bound, so there is at least one candidate
+    candidates = np.sort(np.concatenate((z_a * size + z_b, z_b * size + z_a)))
+    candidates = candidates[np.concatenate(([True], candidates[1:] != candidates[:-1]))]
+    values, _ = _joint_entries(g1, g2, candidates // size, candidates % size)
+    kept = top_k(values, cap)
+    return candidates[kept], values[kept]
+
+
+def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray) -> tuple:
+    """One :class:`PeBranch` per flat reading, computed in one array pass.
+
+    Half A holds e1 with fidelity S / (S + S^T), half B with the rest; each
+    half is matched to the eigenphase whose grid point is nearest its reading
+    (ties to the first).
+    """
+    size = g1.shape[0]
+    z_a, z_b = readings // size, readings % size
+    p, straight = _joint_entries(g1, g2, z_a, z_b)
+    share = straight / p
+
+    def match(z):
+        d0, d1 = (np.abs(z - grid.xbar) % size for grid in grids)
+        return (np.minimum(d1, size - d1) < np.minimum(d0, size - d0)).astype(np.int64)
+
+    match_a, match_b = match(z_a), match(z_b)
+    fid_a = np.where(match_a == 0, share, 1.0 - share)
+    fid_b = np.where(match_b == 0, 1.0 - share, share)
+    columns = (z_a, z_b, p, fid_a, fid_b, match_a, match_b)
+    return tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in columns)))
 
 
 def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeReport:
@@ -167,10 +262,12 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
     joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
 
-    ``shots = 0`` analyzes the exact joint distribution only (the first
-    ``EXACT_BRANCH_CAP`` readings of ``ranked``); positive ``shots`` samples
-    readings from it and analyzes every distinct observed branch. Each branch
-    records the residual fidelity of both singlet halves against the
+    The top ``DISTRIBUTION_CAP`` readings are ranked from the two 2^n profiles
+    without forming the 4^n joint. ``shots = 0`` analyzes the first
+    ``EXACT_BRANCH_CAP`` readings of ``ranked`` and allocates O(2^n) memory
+    plus the candidates; positive ``shots`` samples readings from the dense
+    joint (``exact_joint``) and analyzes every distinct observed branch. Each
+    branch records the residual fidelity of both singlet halves against the
     eigenvector matching its reading.
     """
     n = int(n)
@@ -184,48 +281,24 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     grids = tuple(nearest_grid(float(p), n) for p in system.phases)
     size = 2 ** n
     g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
-    straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
-    joint = straight + straight.T
-
-    def wire(fids: tuple, z: int) -> tuple:
-        """(fidelity with the matched eigenvector, match) of one half."""
-        match = min(range(2), key=lambda k: (_wrapped_reading_distance(z, grids[k].xbar, size), k))
-        return fids[match], match
-
-    def analyze(z_a: int, z_b: int) -> PeBranch:
-        p = float(joint[z_a, z_b])
-        f = float(straight[z_a, z_b]) / p
-        fid_a, match_a = wire((f, 1.0 - f), z_a)
-        fid_b, match_b = wire((1.0 - f, f), z_b)
-        return PeBranch(
-            z_a=z_a,
-            z_b=z_b,
-            probability=p,
-            fidelity_a=fid_a,
-            fidelity_b=fid_b,
-            match_a=match_a,
-            match_b=match_b,
-        )
-
     # the order and the floor are the same at every cap, so the analysed
     # branches are a prefix of the one ranking
-    ranked = top_k(joint, DISTRIBUTION_CAP)
+    ranked, probabilities = _rank_joint(g1, g2, DISTRIBUTION_CAP)
     histogram = {}
     if shots > 0:
-        counts, _ = sample_counts(joint, shots, seed)
+        counts, _ = sample_counts(_dense_joint(g1, g2), shots, seed)
         picked = top_k(counts, None)
         histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
     else:
         picked = ranked[:EXACT_BRANCH_CAP]
-
-    branches = tuple(analyze(*divmod(int(i), size)) for i in picked)
     return PeReport(
         n=n,
         eigenphases=tuple(float(p) for p in system.phases),
         grids=grids,
-        exact_joint=joint,
+        profiles=(g1, g2),
         ranked=ranked,
-        branches=branches,
+        ranked_probabilities=probabilities,
+        branches=_analyze(grids, g1, g2, picked),
         joint_histogram=histogram,
         shots_used=shots,
         seed=int(seed),

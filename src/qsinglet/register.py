@@ -258,8 +258,8 @@ def top_k(probs, cap) -> np.ndarray:
     Largest first, ties in flat index order; ``cap=None`` keeps them all.
     With more than ``cap`` candidates, a linear-time selection first keeps
     those at or above the cap-th largest value (every tie at the cutoff, in
-    index order), so the stable sort that follows only sees about ``cap``
-    entries and returns what a full sort would.
+    index order), so the sort that follows only sees about ``cap`` entries
+    and returns what a full sort would.
     """
     flat = np.asarray(probs).reshape(-1)
     keep = flat > PROB_FLOOR
@@ -269,7 +269,13 @@ def top_k(probs, cap) -> np.ndarray:
         kth = flat.shape[0] - cap
         keep = flat >= np.partition(flat, kth)[kth]
     above = np.flatnonzero(keep)
-    return above[np.argsort(-flat[above], kind="stable")[:cap]]
+    # an unstable sort groups equal values; the keys (group, position) are
+    # distinct, so sorting them puts each group's ties in index order, as a
+    # stable sort would, at a fraction of its cost
+    order = np.argsort(-flat[above])
+    ordered = flat[above[order]]
+    group = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+    return above[np.sort(group * above.shape[0] + order)[:cap] % above.shape[0]]
 
 
 def extract_subsystem(state: State, subsystem: int) -> State:
@@ -321,13 +327,16 @@ def x_pattern_basis(qubits: int):
     Pattern index runs in binary with +x as 0 and -x as 1, first qubit most
     significant, matching the register index convention.
     """
-    single = [plus_x(), minus_x()]
-    vectors, labels = [], []
-    for pattern in range(2 ** qubits):
-        bits = [(pattern >> (qubits - 1 - i)) & 1 for i in range(qubits)]
-        vec = np.array([1.0], dtype=complex)
-        for bit in bits:
-            vec = np.kron(vec, single[bit])
-        vectors.append(vec)
-        labels.append(",".join(X_LABELS[bit] for bit in bits))
-    return np.stack(vectors), labels
+    single = np.stack([plus_x(), minus_x()])
+    # row p, column i of each step is the previous step's entry times a
+    # single-qubit entry, in that order: the multiplications a chain of
+    # np.kron calls makes, so the rows match it bit for bit
+    basis = np.ones((1, 1), dtype=complex)
+    for _ in range(qubits):
+        rows, cols = basis.shape
+        basis = (basis[:, None, :, None] * single[None, :, None, :]).reshape(2 * rows, 2 * cols)
+    labels = [
+        ",".join(X_LABELS[(pattern >> (qubits - 1 - i)) & 1] for i in range(qubits))
+        for pattern in range(2 ** qubits)
+    ]
+    return basis, labels

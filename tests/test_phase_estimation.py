@@ -1,13 +1,17 @@
 """Tests for double phase estimation on a singlet."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qsinglet.cli import resolve_gate
 from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
 from qsinglet.phase_estimation import (
     DISTRIBUTION_CAP,
+    _dense_joint,
+    _rank_joint,
     EXACT_BRANCH_CAP,
     MAX_REGISTER_QUBITS,
     PEAK_BOUND,
@@ -269,3 +273,148 @@ class TestRunDoublePe:
             run_double_pe(u, MAX_REGISTER_QUBITS + 1)
         with pytest.raises(ValueError):
             run_double_pe(u, 2, shots=-1)
+
+
+def dense_top_k(report):
+    """Flat indices ``top_k`` keeps in the dense joint, and their entries."""
+    flat = report.exact_joint.reshape(-1)
+    kept = top_k(flat, DISTRIBUTION_CAP)
+    return kept, flat[kept]
+
+
+def grid_phases(n, spectrum, seed):
+    """Two distinct phases on the n-bit grid, or up to half a step off it."""
+    rng = np.random.default_rng([n, seed])
+    size = 2 ** n
+    readings = rng.choice(size, size=2, replace=False)
+    offsets = rng.uniform(-0.5, 0.5, size=2) if spectrum == "off" else np.zeros(2)
+    return [TWO_PI * (k + off) / size for k, off in zip(readings, offsets)]
+
+
+# (gate, n): exact grid phases whose profiles hold exact zeros, dpe-sweep's
+# seed 3 op 91 (phases one n = 10 grid step apart), and a gate whose joint
+# ties across the cutoff of DISTRIBUTION_CAP
+SPECIAL_RANKINGS = {
+    "zero-pi": (np.diag([1.0, -1.0]).astype(complex), 6),
+    "zero-half-pi": (np.diag([1.0, 1.0j]), 9),
+    "adjacent-grid-points": (
+        resolve_gate({"dim": 2, "phases": [0.5364083968167054, 0.5373964945013426],
+                      "seed": 895567054}),
+        10,
+    ),
+    "tie-at-cutoff": (
+        resolve_gate({"dim": 2, "phases": [5.753913082936317, 0.5007266100522114],
+                      "seed": 440806662}),
+        8,
+    ),
+}
+
+
+class TestProfileRanking:
+    """The ranking read off the two profiles against the dense joint's."""
+
+    @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
+    @pytest.mark.parametrize("spectrum", ["on", "off"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_dense_top_k(self, n, spectrum, seed):
+        report = run_double_pe(gate_with_phases(grid_phases(n, spectrum, seed), seed), n)
+        kept, values = dense_top_k(report)
+        assert report.ranked.tolist() == kept.tolist()
+        assert report.ranked_probabilities.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(SPECIAL_RANKINGS))
+    def test_matches_dense_top_k_on_edge_cases(self, case):
+        u, n = SPECIAL_RANKINGS[case]
+        report = run_double_pe(u, n)
+        kept, values = dense_top_k(report)
+        assert report.ranked.tolist() == kept.tolist()
+        assert report.ranked_probabilities.tobytes() == values.tobytes()
+        g1, g2 = report.profiles
+        if case.startswith("zero"):
+            assert np.count_nonzero(g1 == 0) and np.count_nonzero(g2 == 0)
+        if case == "tie-at-cutoff":
+            flat = report.exact_joint.reshape(-1)
+            beyond = top_k(flat, DISTRIBUTION_CAP + 1)
+            assert flat[beyond[-2]] == flat[beyond[-1]]
+
+    @pytest.mark.parametrize("kind", ["uniform", "steep", "three-level", "exponential"])
+    def test_matches_dense_top_k_on_synthetic_profiles(self, kind):
+        """Arbitrary profiles and caps, which stress the candidate bound harder
+        than phase-estimation profiles do: halving it is what keeps these exact."""
+        rng = np.random.default_rng(["uniform", "steep", "three-level", "exponential"].index(kind))
+        for _ in range(150):
+            size = 2 ** int(rng.integers(1, 7))
+            cap = int(rng.integers(1, 2 * size * size))
+            if kind == "uniform":
+                magnitude = rng.random((2, size))
+            elif kind == "steep":
+                magnitude = rng.random((2, size)) ** 6
+            elif kind == "three-level":
+                magnitude = rng.choice([0.0, 0.5, 1.0], size=(2, size))
+            else:
+                magnitude = np.exp(-30.0 * rng.random((2, size)))
+            magnitude[:, 0] += 0.1
+            g1, g2 = magnitude * np.exp(2j * np.pi * rng.random((2, size)))
+            ranked, values = _rank_joint(g1, g2, cap)
+            flat = _dense_joint(g1, g2).reshape(-1)
+            kept = top_k(flat, cap)
+            assert ranked.tolist() == kept.tolist()
+            assert values.tobytes() == flat[kept].tobytes()
+
+    @pytest.mark.parametrize("shots", [0, 1000])
+    @pytest.mark.parametrize(
+        "n, phases",
+        [
+            # reading 3 lies two steps from both grid points 1 and 5
+            (3, [TWO_PI * 1.4 / 8, TWO_PI * 5.4 / 8]),
+            (6, grid_phases(6, "on", 0)),
+            (8, grid_phases(8, "off", 0)),
+            (10, grid_phases(10, "off", 0)),
+        ],
+    )
+    def test_branches_match_dense_entries(self, n, phases, shots):
+        report = run_double_pe(gate_with_phases(phases, 5), n, shots=shots, seed=3)
+        joint = report.exact_joint
+        straight = np.abs(np.outer(*report.profiles)) ** 2 / 2.0
+        size = 2 ** n
+
+        def match(z):
+            def distance(k):
+                d = abs(z - report.grids[k].xbar) % size
+                return min(d, size - d)
+
+            return min(range(2), key=lambda k: (distance(k), k))
+
+        if shots:
+            assert {(b.z_a, b.z_b) for b in report.branches} == set(report.joint_histogram)
+        else:
+            assert [b.z_a * size + b.z_b for b in report.branches] == (
+                report.ranked[:EXACT_BRANCH_CAP].tolist()
+            )
+        assert report.branches
+        for b in report.branches:
+            p = float(joint[b.z_a, b.z_b])
+            share = float(straight[b.z_a, b.z_b]) / p
+            assert (b.match_a, b.match_b) == (match(b.z_a), match(b.z_b))
+            assert b.probability == p
+            assert b.fidelity_a == (share if b.match_a == 0 else 1.0 - share)
+            assert b.fidelity_b == (1.0 - share if b.match_b == 0 else share)
+
+    @pytest.mark.parametrize("spectrum", ["on", "off"])
+    def test_exact_run_never_builds_the_dense_joint(self, spectrum):
+        """One float array of 4^10 entries takes 8.4 MB; an exact run stays under 4 MB."""
+        u = gate_with_phases(grid_phases(MAX_REGISTER_QUBITS, spectrum, 0), 0)
+        run_double_pe(u, MAX_REGISTER_QUBITS)
+        tracemalloc.start()
+        try:
+            report = run_double_pe(u, MAX_REGISTER_QUBITS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # no profile entry is exactly zero, even on the grid, so only the
+        # probability floor keeps the candidates few there
+        assert all(np.count_nonzero(g == 0) == 0 for g in report.profiles)
+        size = 2 ** MAX_REGISTER_QUBITS
+        assert isinstance(report.exact_joint, np.ndarray)
+        assert report.exact_joint.shape == (size, size)

@@ -281,6 +281,23 @@ def test_x_basis_vectors():
     np.testing.assert_allclose(basis @ np.conjugate(basis).T, np.eye(2), atol=1e-15)
 
 
+@pytest.mark.parametrize("qubits", range(1, 6))
+def test_x_pattern_basis_is_bitwise_the_kron_chain(qubits):
+    single = [plus_x(), minus_x()]
+    rows, names = [], []
+    for pattern in range(2 ** qubits):
+        bits = [(pattern >> (qubits - 1 - i)) & 1 for i in range(qubits)]
+        vec = np.array([1.0], dtype=complex)
+        for bit in bits:
+            vec = np.kron(vec, single[bit])
+        rows.append(vec)
+        names.append(",".join(("+x", "-x")[bit] for bit in bits))
+    basis, labels = x_pattern_basis(qubits)
+    # bytes, so the signs of zero imaginary parts must agree too
+    assert basis.tobytes() == np.stack(rows).tobytes()
+    assert labels == names
+
+
 def test_x_pattern_basis_is_kron_of_singles():
     basis, labels = x_pattern_basis(2)
     assert labels == ["+x,+x", "+x,-x", "-x,+x", "-x,-x"]
