@@ -1,102 +1,42 @@
 """qsinglet: singlet-based eigenstate location for unknown controlled gates.
 
-A dense state-vector simulator for registers of mixed qubit/qudit subsystems,
-plus the protocol family that feeds singlet states through controlled powers
-of a gate to drop exact eigenstates on the output wires: the +-1 protocol and
-its fourth-root variants, unambiguous-discrimination readout for known
-eigenphase pairs, double phase estimation on a singlet, the qudit -1 locator,
-and a shot-counting tomography baseline to compare against.
+The protocol family feeds singlet states through controlled powers of a gate
+to drop exact eigenstates on the output wires: the +-1 protocol and its
+fourth-root variants, unambiguous-discrimination readout for known eigenphase
+pairs, double phase estimation on a singlet, the qudit -1 locator, and a
+shot-counting tomography baseline to compare against. Every run reads the
+gate's eigenphases and computes the exact Born analysis in closed form.
+
+The package exports the seven runners, their report types, ``SpectrumError``,
+and gate construction and file I/O. Everything else is importable from its
+own module; the dense state-vector simulator that the tests check the closed
+forms against lives in ``qsinglet.register`` and ``qsinglet.singlet``.
 """
 
 __version__ = "0.1.0"
 
-from .discrimination import (
-    Povm,
-    build_idp_povm,
-    equatorial_state,
-    idp_success_probability,
-)
-from .linalg import (
-    EigenSystem,
-    eigendecompose_2x2_unitary,
-    generate_gate,
-    haar_random_unitary,
-    is_unitary,
-    load_unitary,
-    save_unitary,
-    tensor_product,
-    unitary_from_eigensystem,
-)
-from .phase_estimation import (
-    GridDecomposition,
-    PeBranch,
-    PeReport,
-    g_amplitude,
-    inverse_qft,
-    nearest_grid,
-    run_double_pe,
-)
+from .linalg import SpectrumError, generate_gate, load_unitary, save_unitary
+from .phase_estimation import PeBranch, PeReport, run_double_pe
 from .protocols import (
     ProtocolReport,
-    SpectrumError,
     TomographyEstimate,
-    eta_state,
     protocol_known_phases,
     protocol_pm1,
     protocol_quartet,
     protocol_square_trick,
     tomography_baseline,
 )
-from .qudit import (
-    householder_reflection,
-    run_qudit_minus_one,
-    spectrum_check_minus_one,
-)
-from .register import (
-    ControlledGate,
-    EntangledSubsystemError,
-    State,
-    apply_controlled,
-    apply_unitary,
-    extract_subsystem,
-    fidelity,
-    outcome_distribution,
-    product_state,
-)
-from .singlet import make_singlet
+from .qudit import householder_reflection, run_qudit_minus_one
 
 __all__ = [
-    "ControlledGate",
-    "EigenSystem",
-    "EntangledSubsystemError",
-    "GridDecomposition",
     "PeBranch",
     "PeReport",
-    "Povm",
     "ProtocolReport",
     "SpectrumError",
-    "State",
     "TomographyEstimate",
-    "apply_controlled",
-    "apply_unitary",
-    "build_idp_povm",
-    "eigendecompose_2x2_unitary",
-    "equatorial_state",
-    "eta_state",
-    "extract_subsystem",
-    "fidelity",
-    "g_amplitude",
     "generate_gate",
-    "haar_random_unitary",
     "householder_reflection",
-    "idp_success_probability",
-    "inverse_qft",
-    "is_unitary",
     "load_unitary",
-    "make_singlet",
-    "nearest_grid",
-    "outcome_distribution",
-    "product_state",
     "protocol_known_phases",
     "protocol_pm1",
     "protocol_quartet",
@@ -104,8 +44,5 @@ __all__ = [
     "run_double_pe",
     "run_qudit_minus_one",
     "save_unitary",
-    "spectrum_check_minus_one",
-    "tensor_product",
     "tomography_baseline",
-    "unitary_from_eigensystem",
 ]

@@ -90,10 +90,10 @@ def _labelled_body(report) -> dict:
     return body
 
 
-def _tomography(gate, shots, seed, phase_grid_size=16) -> dict:
+def _tomography(gate, shots, seed, **params) -> dict:
     if shots < 1:
         raise ValueError("tomography needs shots >= 1 (counts per setting)")
-    est = tomography_baseline(gate, shots, seed=seed, phase_grid_size=phase_grid_size)
+    est = tomography_baseline(gate, shots, seed=seed, **params)
     estimate = asdict(est)
     gate_uses = estimate.pop("gate_uses")
     return {"fidelities": {}, "gate_uses": gate_uses, "estimate": estimate}

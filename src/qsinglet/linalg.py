@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +19,10 @@ MAX_SEED = 2 ** 64
 
 
 def require_int(value, what: str, minimum=None, maximum=None) -> int:
-    """Return ``value`` if it is a (non-bool) int within the bounds, else raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` as an int if it is a non-bool (numpy) integer within bounds, else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be at least {minimum}, got {value}")
     if maximum is not None and value > maximum:
@@ -40,11 +41,6 @@ def require_number(value, what: str) -> float:
     if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
     return number
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor as the most significant index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -97,17 +93,16 @@ def phase_distance(a: float, b: float) -> float:
     return float(abs((a - b + np.pi) % TWO_PI - np.pi))
 
 
+class SpectrumError(ValueError):
+    """The gate's eigenvalues do not satisfy a protocol's precondition."""
+
+
 @dataclass
 class EigenSystem:
-    """Orthonormal eigenvectors (columns of ``vectors``) with phases in [0, 2*pi).
-
-    ``degenerate`` marks systems whose phases coincide, in which case the
-    vectors are a conventional basis rather than a distinguished one.
-    """
+    """Orthonormal eigenvectors (columns of ``vectors``) with phases in [0, 2*pi)."""
 
     vectors: np.ndarray
     phases: np.ndarray
-    degenerate: bool = field(default=False)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
@@ -119,13 +114,6 @@ class EigenSystem:
             raise ValueError("eigenvectors are not orthonormal within 1e-10")
         if np.any(self.phases < 0.0) or np.any(self.phases >= TWO_PI):
             raise ValueError("eigenphases must lie in [0, 2*pi)")
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.vectors[:, k].copy()
 
 
 def unitary_from_eigensystem(system: EigenSystem) -> np.ndarray:
@@ -176,7 +164,7 @@ def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
 
     Solves the characteristic polynomial in closed form. When the two
     eigenvalues coincide within 1e-12 the matrix is a global phase times the
-    identity; the computational basis is returned with ``degenerate=True``.
+    identity, has no distinguished eigenbasis, and SpectrumError is raised.
     """
     u = require_unitary(u)
     if u.shape != (2, 2):
@@ -190,8 +178,7 @@ def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
     lam1 = (trace + root) / 2.0
     lam2 = (trace - root) / 2.0
     if abs(lam1 - lam2) <= DEGENERACY_ATOL:
-        phase = wrap_phase(float(np.angle(lam1)))
-        return EigenSystem(np.eye(2, dtype=complex), np.array([phase, phase]), degenerate=True)
+        raise SpectrumError("gate spectrum is degenerate")
     # rows of (u - lam1*I) both annihilate v1; pick the better conditioned one
     cand_a = np.array([b, lam1 - a])
     cand_b = np.array([lam1 - d, c])

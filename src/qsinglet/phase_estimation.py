@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import TWO_PI, phase_distance, wrap_phase
-from .protocols import SPECTRUM_ATOL, SpectrumError, distinct_eigensystem
+from .linalg import TWO_PI, eigendecompose_2x2_unitary, phase_distance, require_int, wrap_phase
+from .protocols import SPECTRUM_ATOL, SpectrumError
 from .register import PROB_FLOOR, State, apply_controlled, apply_unitary, sample_counts, top_k
 from .singlet import singlet_network
 
@@ -51,7 +51,7 @@ class GridDecomposition:
 
 def nearest_grid(phi: float, n: int) -> GridDecomposition:
     """Decompose an angle into nearest grid point and offset at resolution n."""
-    n = int(n)
+    n = require_int(n, "register size")
     if not 1 <= n <= MAX_REGISTER_QUBITS:
         raise ValueError(f"register size must be in 1..{MAX_REGISTER_QUBITS}, got {n}")
     x = wrap_phase(float(phi)) / TWO_PI
@@ -140,7 +140,6 @@ class PeReport:
     branches: tuple
     joint_histogram: dict
     shots_used: int
-    seed: int
     gate_uses: int
 
     @cached_property
@@ -270,15 +269,15 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     branch records the residual fidelity of both singlet halves against the
     eigenvector matching its reading.
     """
-    n = int(n)
-    shots = int(shots)
+    n = require_int(n, "register size")
+    shots = require_int(shots, "shots")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    system = distinct_eigensystem(u)
-    if phase_distance(float(system.phases[0]), float(system.phases[1])) <= SPECTRUM_ATOL:
+    phases = eigendecompose_2x2_unitary(u).phases
+    if phase_distance(float(phases[0]), float(phases[1])) <= SPECTRUM_ATOL:
         raise SpectrumError("eigenphases must be distinct")
 
-    grids = tuple(nearest_grid(float(p), n) for p in system.phases)
+    grids = tuple(nearest_grid(float(p), n) for p in phases)
     size = 2 ** n
     g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
     # the order and the floor are the same at every cap, so the analysed
@@ -293,7 +292,7 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         picked = ranked[:EXACT_BRANCH_CAP]
     return PeReport(
         n=n,
-        eigenphases=tuple(float(p) for p in system.phases),
+        eigenphases=tuple(float(p) for p in phases),
         grids=grids,
         profiles=(g1, g2),
         ranked=ranked,
@@ -301,6 +300,5 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         branches=_analyze(grids, g1, g2, picked),
         joint_histogram=histogram,
         shots_used=shots,
-        seed=int(seed),
         gate_uses=2 * (size - 1),
     )

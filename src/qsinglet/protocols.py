@@ -12,16 +12,17 @@ computed on the gate's eigenbasis by :func:`readout`, with the dense
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discrimination import FAIL_LABEL, equatorial_state
 from .linalg import (
-    EigenSystem,
+    SpectrumError,
     eigendecompose_2x2_unitary,
     phase_distance,
     qubit_perp,
+    require_int,
     require_unitary,
     wrap_phase,
 )
@@ -29,10 +30,6 @@ from .register import PROB_FLOOR, State, sample_counts, x_pattern_basis
 from .singlet import network_output_state, singlet_network, singlet_weights
 
 SPECTRUM_ATOL = 1e-8
-
-
-class SpectrumError(ValueError):
-    """The gate's eigenvalues do not satisfy a protocol's precondition."""
 
 
 @dataclass(frozen=True)
@@ -54,21 +51,19 @@ class ProtocolReport:
     0; its analysis is ``branches[outcome_label]``.
     """
 
-    protocol: str
     wires: tuple
     branches: dict
     exact_distribution: dict
     histogram: dict
     outcome_label: str | None
     shots_used: int
-    seed: int
     gate_uses: int
 
 
-def labelled_report(name, wires, labels, probs, branches, seed, shots, wiring):
+def labelled_report(wires, labels, probs, branches, seed, shots, wiring):
     """ProtocolReport over labelled outcomes, with ``shots`` seeded draws, of
     a network that uses the gate as often as ``wiring``'s powers add up to."""
-    shots = int(shots)
+    shots = require_int(shots, "shots")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     histogram = {}
@@ -78,57 +73,45 @@ def labelled_report(name, wires, labels, probs, branches, seed, shots, wiring):
         histogram = {label: int(count) for label, count in zip(labels, counts)}
         outcome = labels[first]
     return ProtocolReport(
-        protocol=name,
         wires=tuple(wires),
         branches=branches,
         exact_distribution={label: float(p) for label, p in zip(labels, probs)},
         histogram=histogram,
         outcome_label=outcome,
         shots_used=shots,
-        seed=int(seed),
         gate_uses=sum(power for _, _, power in wiring),
     )
 
 
-def readout(phases, wiring, rows, labels, branch) -> tuple:
+def readout(phases, wiring, rows, targets) -> tuple:
     """Probabilities of the outcomes |row><row| of ``rows`` on the controls of
     the singlet network ``wiring``, for a gate with eigenphases ``phases``, in
-    row order; and ``branch(index, p, fidelity)`` keyed by label for each one
-    above PROB_FLOOR, with ``fidelity(party, k)`` the fidelity of singlet party
-    ``party`` with eigenvector ``k`` (see :func:`singlet.singlet_weights`).
+    row order; and, keyed by index for each outcome m above PROB_FLOOR, the
+    fidelity of singlet party ``party`` with eigenvector ``k`` for each
+    ``(party, k)`` of ``targets[m]`` (see :func:`singlet.singlet_weights`).
     """
     perms, weights = singlet_weights(phases, wiring, rows)
     probs = weights.mean(axis=1).tolist()
-    branches = {}
-    for index, p in enumerate(probs):
-        if p <= PROB_FLOOR:
-            continue
-        row = weights[index]
+    fidelities = {}
+    for m, p in enumerate(probs):
+        if p > PROB_FLOOR:
+            w = weights[m]
+            fidelities[m] = tuple(float(w[perms[:, party] == k].sum() / w.sum())
+                                  for party, k in targets[m])
+    return probs, fidelities
 
-        def fidelity(party, k, row=row):
-            return float(row[perms[:, party] == k].sum() / row.sum())
 
-        branches[labels[index]] = branch(index, p, fidelity)
+def _eigen_readout(phases, wiring, rows, labels, assignment) -> tuple:
+    """:func:`readout` of a 2x2 gate with eigenphases ``phases`` whose outcome
+    m should leave the eigenvectors ``assignment[m]`` on singlet parties 0, 1;
+    returns the probabilities and a :class:`BranchReport` per label."""
+    targets = {m: tuple(enumerate(ks)) for m, ks in assignment.items()}
+    probs, fidelities = readout(phases, wiring, rows, targets)
+    branches = {
+        labels[m]: BranchReport(probs[m], fids, tuple(float(phases[k]) for k in assignment[m]))
+        for m, fids in fidelities.items()
+    }
     return probs, branches
-
-
-def _eigen_readout(system: EigenSystem, wiring, rows, labels, assignment) -> tuple:
-    """:func:`readout` of a 2x2 gate whose outcome ``index`` should leave the
-    eigenvectors ``assignment[index]`` of ``system`` on singlet parties 0, 1."""
-
-    def branch(index, p, fidelity) -> BranchReport:
-        fids = tuple(fidelity(party, k) for party, k in enumerate(assignment[index]))
-        return BranchReport(p, fids, tuple(float(system.phases[k]) for k in assignment[index]))
-
-    return readout(system.phases, wiring, rows, labels, branch)
-
-
-def distinct_eigensystem(u: np.ndarray) -> EigenSystem:
-    """Eigendecomposition of a 2x2 gate, or SpectrumError if it is degenerate."""
-    system = eigendecompose_2x2_unitary(u)
-    if system.degenerate:
-        raise SpectrumError("gate spectrum is degenerate")
-    return system
 
 
 def _phase_texts(phases) -> str:
@@ -136,16 +119,16 @@ def _phase_texts(phases) -> str:
     return "[" + ", ".join(f"{float(p):.9f}" for p in phases) + "]"
 
 
-def _match_phases(system: EigenSystem, targets, atol: float = SPECTRUM_ATOL) -> list:
+def _match_phases(phases, targets) -> list:
     """Bijection from required phases to eigenvector indices, or SpectrumError."""
-    remaining = list(range(system.dim))
+    remaining = list(range(len(phases)))
     matched = []
     for target in targets:
-        hits = [k for k in remaining if phase_distance(float(system.phases[k]), target) <= atol]
+        hits = [k for k in remaining if phase_distance(float(phases[k]), target) <= SPECTRUM_ATOL]
         if len(hits) != 1:
             raise SpectrumError(
-                f"gate eigenphases {_phase_texts(system.phases)} do not match "
-                f"{_phase_texts(targets)} within {atol:g}"
+                f"gate eigenphases {_phase_texts(phases)} do not match "
+                f"{_phase_texts(targets)} within {SPECTRUM_ATOL:g}"
             )
         matched.append(hits[0])
         remaining.remove(hits[0])
@@ -168,20 +151,20 @@ def pm1_output_state(u: np.ndarray) -> State:
     return network_output_state(u, control_wiring([1]))
 
 
-def _x_readout(name, u, powers, targets, seed, shots) -> ProtocolReport:
+def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     """Shared body of the two-wire protocols read out in the +-x basis.
 
     The controlled ``powers`` of ``u`` must map its eigenphases ``targets`` to
     {1, -1}; +x then leaves the first target's eigenstate on wire 1 and the
     second's on wire 2, and -x swaps them.
     """
-    system = distinct_eigensystem(u)
-    first, second = _match_phases(system, targets)
+    phases = eigendecompose_2x2_unitary(u).phases
+    first, second = _match_phases(phases, targets)
     wiring = control_wiring(powers)
     basis, labels = x_pattern_basis(1)
-    assignment = ((first, second), (second, first))
-    probs, branches = _eigen_readout(system, wiring, basis, labels, assignment)
-    return labelled_report(name, (1, 2), labels, probs, branches, seed, shots, wiring)
+    assignment = {0: (first, second), 1: (second, first)}
+    probs, branches = _eigen_readout(phases, wiring, basis, labels, assignment)
+    return labelled_report((1, 2), labels, probs, branches, seed, shots, wiring)
 
 
 def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -191,7 +174,7 @@ def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport
     +1 eigenstate on wire 1 and the -1 eigenstate on wire 2, -x swaps them.
     Either way both output wires carry exact eigenstates.
     """
-    return _x_readout("pm1", u, [1], [0.0, math.pi], seed, shots)
+    return _x_readout(u, [1], [0.0, math.pi], seed, shots)
 
 
 def protocol_square_trick(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -200,7 +183,7 @@ def protocol_square_trick(u: np.ndarray, seed: int = 0, shots: int = 1) -> Proto
     Applying the control twice squares the gate's phases to {1, -1}, which the
     +-1 protocol then separates with certainty.
     """
-    return _x_readout("square-trick", u, [1, 1], [0.0, math.pi / 2.0], seed, shots)
+    return _x_readout(u, [1, 1], [0.0, math.pi / 2.0], seed, shots)
 
 
 def protocol_known_phases(
@@ -217,8 +200,8 @@ def protocol_known_phases(
     theta2 = wrap_phase(float(theta2))
     if phase_distance(theta1, theta2) <= SPECTRUM_ATOL:
         raise ValueError("theta1 and theta2 must differ")
-    system = distinct_eigensystem(u)
-    idx1, idx2 = _match_phases(system, [theta1, theta2])
+    phases = eigendecompose_2x2_unitary(u).phases
+    idx1, idx2 = _match_phases(phases, [theta1, theta2])
     wiring = control_wiring([1])
 
     # optimal unambiguous discrimination of the pointer states: element "v1" is
@@ -226,12 +209,12 @@ def protocol_known_phases(
     v1 = equatorial_state(theta1)
     v2 = equatorial_state(theta2)
     rows = np.stack([qubit_perp(v2), qubit_perp(v1)]) / math.sqrt(1.0 + abs(np.vdot(v1, v2)))
-    assignment = ((idx1, idx2), (idx2, idx1))
-    probs, branches = _eigen_readout(system, wiring, rows, ["v1", "v2"], assignment)
+    assignment = {0: (idx1, idx2), 1: (idx2, idx1)}
+    probs, branches = _eigen_readout(phases, wiring, rows, ["v1", "v2"], assignment)
     probs.append(max(1.0 - probs[0] - probs[1], 0.0))
     branches[FAIL_LABEL] = BranchReport(probs[2])
     labels = ["v1", "v2", FAIL_LABEL]
-    return labelled_report("known-phases", (1, 2), labels, probs, branches, seed, shots, wiring)
+    return labelled_report((1, 2), labels, probs, branches, seed, shots, wiring)
 
 
 ETA_LABELS = {0: "eta(1)", 1: "eta(i)", 2: "eta(-1)", 3: "eta(-i)"}
@@ -273,10 +256,10 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     qubits; reading them in the eta basis names one eigenvalue exactly. Wire 2
     carries the named eigenvalue's eigenstate, wire 3 the other one.
     """
-    system = distinct_eigensystem(u)
+    phases = eigendecompose_2x2_unitary(u).phases
     quarter = math.pi / 2.0
     ks = []
-    for phase in system.phases:
+    for phase in phases:
         k = int(round(float(phase) / quarter)) % 4
         if phase_distance(float(phase), k * quarter) > SPECTRUM_ATOL:
             raise SpectrumError(
@@ -289,8 +272,8 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
 
     basis, labels = eta_basis()
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
-    probs, branches = _eigen_readout(system, QUARTET_WIRING, basis, labels, eigen_for_k)
-    return labelled_report("quartet", (2, 3), labels, probs, branches, seed, shots, QUARTET_WIRING)
+    probs, branches = _eigen_readout(phases, QUARTET_WIRING, basis, labels, eigen_for_k)
+    return labelled_report((2, 3), labels, probs, branches, seed, shots, QUARTET_WIRING)
 
 
 @dataclass(frozen=True)
@@ -301,8 +284,8 @@ class TomographyEstimate:
     p10: float
     relative_phase: float
     shots_per_setting: int
-    phase_grid_size: int = field(default=16)
-    gate_uses: int = field(default=0)
+    phase_grid_size: int
+    gate_uses: int
 
 
 def tomography_baseline(
@@ -320,9 +303,10 @@ def tomography_baseline(
     u = require_unitary(u, what="gate")
     if u.shape != (2, 2):
         raise ValueError("the baseline is defined for 2x2 gates")
-    shots_per_setting = int(shots_per_setting)
+    shots_per_setting = require_int(shots_per_setting, "shots_per_setting")
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be at least 1")
+    phase_grid_size = require_int(phase_grid_size, "phase_grid_size")
     if phase_grid_size < 3:
         raise ValueError("need at least 3 phase points to fit the fringe")
     rng = np.random.default_rng(seed)
@@ -346,6 +330,6 @@ def tomography_baseline(
         p10=float(p10),
         relative_phase=float(relative_phase),
         shots_per_setting=shots_per_setting,
-        phase_grid_size=int(phase_grid_size),
-        gate_uses=shots_per_setting * (1 + int(phase_grid_size)),
+        phase_grid_size=phase_grid_size,
+        gate_uses=shots_per_setting * (1 + phase_grid_size),
     )

@@ -105,13 +105,12 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
     # eigenvector 0 is the -1 vector; the singlet has the same form on every
     # orthonormal completion of it, so the +1 eigenvectors need not be named
     phases = [math.pi] + [0.0] * (d - 1)
-
-    def locate(index: int, p: float, fidelity) -> QuditBranch:
-        # bit k of the pattern (most significant first) is set when control k
-        # read -x; the one set bit names party k, and none names the last party
-        wire = d - 1 - index.bit_length()
-        return QuditBranch(p, wire, fidelity(wire, 0))
-
-    probs, branches = readout(phases, wiring, basis, labels, locate)
+    # bit k of pattern m (most significant first) is set when control k read
+    # -x; the one set bit names party k, and none names the last party
+    located = [d - 1 - m.bit_length() for m in range(len(labels))]
+    probs, fidelities = readout(phases, wiring, basis, [((wire, 0),) for wire in located])
+    branches = {
+        labels[m]: QuditBranch(probs[m], located[m], fid) for m, (fid,) in fidelities.items()
+    }
     wires = tuple(range(d - 1, 2 * d - 1))
-    return labelled_report("qudit-minus-one", wires, labels, probs, branches, seed, shots, wiring)
+    return labelled_report(wires, labels, probs, branches, seed, shots, wiring)

@@ -2,7 +2,7 @@
 
 A register is an ordered list of subsystem dimensions. Amplitudes are stored
 as one dense complex vector indexed in mixed radix with the first listed
-subsystem as the most significant digit, matching ``linalg.tensor_product``.
+subsystem as the most significant digit, matching ``np.kron``.
 """
 
 from __future__ import annotations

@@ -247,16 +247,13 @@ def test_eigenbasis_readout_matches_dense_network(network, seed):
     d = len(phases)
     vectors = haar_random_unitary(d, seed)
     u = unitary_from_eigensystem(EigenSystem(vectors, wrap_phase(np.array(phases))))
-    labels = [str(m) for m in range(len(rows))]
-    probs, branches = readout(
-        phases, wiring, rows, labels,
-        lambda m, p, fidelity: [[fidelity(w, k) for k in range(d)] for w in range(d)],
-    )
+    pairs = [(w, k) for w in range(d) for k in range(d)]
+    probs, fidelities = readout(phases, wiring, rows, [pairs] * len(rows))
     dense_probs, dense_fids = dense_readout(network_output_state(u, wiring), rows, vectors)
     assert np.max(np.abs(np.array(probs) - dense_probs)) <= P_ATOL
-    for label, fids in branches.items():
-        if dense_probs[int(label)] > DENSE_P_MIN:
-            assert np.max(np.abs(np.array(fids) - np.array(dense_fids[int(label)]))) <= F_ATOL
+    for m, fids in fidelities.items():
+        if dense_probs[m] > DENSE_P_MIN:
+            assert np.max(np.abs(np.array(fids) - np.array(dense_fids[m]).reshape(-1))) <= F_ATOL
 
 
 @st.composite
@@ -305,8 +302,7 @@ def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
             (mat.T @ np.conjugate(mat), branch.z_b, branch.fidelity_b, branch.match_b),
         )
         for rho, z, fid, match in halves:
-            fids = [float(np.real(np.vdot(system.vector(k), rho @ system.vector(k))))
-                    for k in range(2)]
+            fids = [float(np.real(np.vdot(v, rho @ v))) for v in system.vectors.T]
             assert abs(fid - fids[match]) <= 1e-10
             if abs(fid - 0.5) > 1e-9:
                 assert match == min(range(2), key=lambda k: (wrapped_distance(z, xbars[k], size), k))

@@ -25,6 +25,7 @@ from qsinglet.protocols import (
     quartet_output_state,
     tomography_baseline,
 )
+from qsinglet.qudit import householder_reflection, run_qudit_minus_one
 from qsinglet.register import collapse, extract_subsystem, fidelity, x_pattern_basis
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -282,3 +283,44 @@ class TestTomography:
             tomography_baseline(u, 100, phase_grid_size=2)
         with pytest.raises(ValueError):
             tomography_baseline(haar_random_unitary(3, 0), 100)
+
+    @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
+    def test_refuses_non_integer_counts(self, value):
+        """A fractional grid would draw ceil(value) settings but report fewer."""
+        u = gate_with_phases([0.0, math.pi], 0)
+        with pytest.raises(ValueError, match="phase_grid_size must be an integer"):
+            tomography_baseline(u, 100, phase_grid_size=value)
+        with pytest.raises(ValueError, match="shots_per_setting must be an integer"):
+            tomography_baseline(u, value)
+
+    def test_accepts_numpy_integers(self):
+        u = gate_with_phases([0.0, math.pi], 0)
+        est = tomography_baseline(u, np.int64(100), seed=3, phase_grid_size=np.int16(4))
+        assert est == tomography_baseline(u, 100, seed=3, phase_grid_size=4)
+        assert type(est.gate_uses) is int and est.gate_uses == 500
+
+
+class TestShotCounts:
+    """Every labelled runner takes an integer shot count, never a truncated one."""
+
+    RUNNERS = {
+        "pm1": lambda shots: protocol_pm1(gate_with_phases([0.0, math.pi], 0), 1, shots),
+        "known-phases": lambda shots: protocol_known_phases(
+            gate_with_phases([0.4, 2.2], 0), 0.4, 2.2, 1, shots
+        ),
+        "qudit-minus-one": lambda shots: run_qudit_minus_one(
+            householder_reflection([1.0, 1.0j, 0.5]), 1, shots
+        ),
+    }
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    @pytest.mark.parametrize("shots", [7.9, 10.0, False, None])
+    def test_refuses_non_integer_shots(self, runner, shots):
+        with pytest.raises(ValueError, match="shots must be an integer"):
+            self.RUNNERS[runner](shots)
+
+    @pytest.mark.parametrize("runner", sorted(RUNNERS))
+    def test_accepts_numpy_integer_shots(self, runner):
+        report = self.RUNNERS[runner](np.int32(37))
+        assert report == self.RUNNERS[runner](37)
+        assert type(report.shots_used) is int and sum(report.histogram.values()) == 37

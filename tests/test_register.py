@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qsinglet.linalg import haar_random_unitary, tensor_product
+from qsinglet.linalg import haar_random_unitary
 from qsinglet.register import (
     ControlledGate,
     EntangledSubsystemError,
@@ -108,7 +108,7 @@ def test_product_state_matches_kron():
     a = random_state((2,), 1)
     b = random_state((3,), 2)
     joint = product_state([a, b])
-    np.testing.assert_allclose(joint.amps, tensor_product(a.amps, b.amps))
+    np.testing.assert_allclose(joint.amps, np.kron(a.amps, b.amps))
 
 
 @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ def test_x_pattern_basis_is_bitwise_the_kron_chain(qubits):
 def test_x_pattern_basis_is_kron_of_singles():
     basis, labels = x_pattern_basis(2)
     assert labels == ["+x,+x", "+x,-x", "-x,+x", "-x,-x"]
-    np.testing.assert_allclose(basis[2], tensor_product(minus_x(), plus_x()))
+    np.testing.assert_allclose(basis[2], np.kron(minus_x(), plus_x()))
     gram = basis @ np.conjugate(basis).T
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-15)
 
