@@ -322,13 +322,17 @@ def run_experiment(config: dict) -> dict:
 
 def _cmd_run(args) -> int:
     try:
-        report = run_experiment(apply_overrides(load_config(args.config), args))
-    except (ValueError, TypeError, KeyError, OSError, MemoryError) as exc:
-        _emit({"meta": _meta(), "errors": [str(exc)]}, args.out)
+        report, status = run_experiment(apply_overrides(load_config(args.config), args)), 0
+    # RecursionError: JSON nested past the decoder's depth
+    except (ValueError, TypeError, KeyError, OSError, MemoryError, RecursionError) as exc:
+        report, status = {"meta": _meta(), "errors": [str(exc)]}, 1
+        print(f"error: {exc}", file=sys.stderr)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:  # nowhere to write the report
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.out)
-    return 0
+    return status
 
 
 def _cmd_gen_gate(args) -> int:

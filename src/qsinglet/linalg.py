@@ -53,15 +53,11 @@ def qubit_perp(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conjugate(v[1]), np.conjugate(v[0])])
 
 
-def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
-    """Check whether ``m`` is unitary within ``atol``.
+def is_unitary(m: np.ndarray) -> bool:
+    """Check whether the square matrix ``m`` is unitary within ``UNITARY_ATOL``.
 
-    Parameters
-    ----------
-    m : np.ndarray
-        Square complex matrix. A non-square input raises ``ValueError``.
-    atol : float
-        Largest tolerated absolute deviation of ``m^dagger m`` from identity.
+    The tolerance bounds the largest absolute deviation of ``m^dagger m`` from
+    the identity. A non-square input raises ``ValueError``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,14 +65,14 @@ def is_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> bool:
     if not np.all(np.isfinite(m.view(float))):
         return False
     defect = dagger(m) @ m - np.eye(m.shape[0])
-    return bool(np.max(np.abs(defect)) <= atol)
+    return bool(np.max(np.abs(defect)) <= UNITARY_ATOL)
 
 
-def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL, what: str = "matrix") -> np.ndarray:
+def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Return ``m`` as complex ndarray, raising ValueError unless unitary."""
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, atol=atol):
-        raise ValueError(f"{what} is not unitary within {atol:g}")
+    if not is_unitary(m):
+        raise ValueError(f"{what} is not unitary within {UNITARY_ATOL:g}")
     return m
 
 
@@ -159,12 +155,13 @@ def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
 DEGENERACY_ATOL = 1e-12
 
 
-def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
-    """Analytic eigendecomposition of a 2x2 unitary.
+def eigendecompose_2x2_unitary(u: np.ndarray) -> np.ndarray:
+    """The two eigenphases of a 2x2 unitary, each in [0, 2*pi).
 
-    Solves the characteristic polynomial in closed form. When the two
-    eigenvalues coincide within 1e-12 the matrix is a global phase times the
-    identity, has no distinguished eigenbasis, and SpectrumError is raised.
+    Solves the characteristic polynomial in closed form; no eigenvector is
+    built. When the two eigenvalues coincide within 1e-12 the matrix is a
+    global phase times the identity, has no distinguished eigenbasis, and
+    SpectrumError is raised.
     """
     u = require_unitary(u)
     if u.shape != (2, 2):
@@ -179,15 +176,7 @@ def eigendecompose_2x2_unitary(u: np.ndarray) -> EigenSystem:
     lam2 = (trace - root) / 2.0
     if abs(lam1 - lam2) <= DEGENERACY_ATOL:
         raise SpectrumError("gate spectrum is degenerate")
-    # rows of (u - lam1*I) both annihilate v1; pick the better conditioned one
-    cand_a = np.array([b, lam1 - a])
-    cand_b = np.array([lam1 - d, c])
-    v1 = cand_a if np.linalg.norm(cand_a) >= np.linalg.norm(cand_b) else cand_b
-    v1 = v1 / np.linalg.norm(v1)
-    # a 2x2 unitary is normal, so the second eigenvector is the orthogonal complement
-    v2 = qubit_perp(v1)
-    phases = wrap_phase(np.angle(np.array([lam1, lam2])))
-    return EigenSystem(np.column_stack([v1, v2]), phases)
+    return wrap_phase(np.angle(np.array([lam1, lam2])))
 
 
 def unitary_to_json(u: np.ndarray) -> dict:
@@ -200,13 +189,14 @@ def unitary_to_json(u: np.ndarray) -> dict:
 def unitary_from_json(obj: dict) -> np.ndarray:
     """Rebuild a unitary from its JSON form, validating shape and unitarity."""
     try:
-        dim = int(obj["dim"])
-        entries = obj["entries"]
+        dim, entries = obj["dim"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix JSON needs 'dim' and 'entries' keys") from exc
-    if dim < 1 or len(entries) != dim * dim:
+    dim = require_int(dim, "matrix JSON dim", minimum=1)
+    if len(entries) != dim * dim:
         raise ValueError(f"matrix JSON needs exactly dim*dim = {dim * dim} entries")
-    flat = np.array([complex(re, im) for re, im in entries])
+    flat = np.array([complex(require_number(re, "matrix JSON entry"),
+                             require_number(im, "matrix JSON entry")) for re, im in entries])
     return require_unitary(flat.reshape(dim, dim), what="matrix JSON content")
 
 

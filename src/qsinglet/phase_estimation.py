@@ -273,7 +273,7 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     shots = require_int(shots, "shots")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
-    phases = eigendecompose_2x2_unitary(u).phases
+    phases = eigendecompose_2x2_unitary(u)
     if phase_distance(float(phases[0]), float(phases[1])) <= SPECTRUM_ATOL:
         raise SpectrumError("eigenphases must be distinct")
 

@@ -158,7 +158,7 @@ def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     {1, -1}; +x then leaves the first target's eigenstate on wire 1 and the
     second's on wire 2, and -x swaps them.
     """
-    phases = eigendecompose_2x2_unitary(u).phases
+    phases = eigendecompose_2x2_unitary(u)
     first, second = _match_phases(phases, targets)
     wiring = control_wiring(powers)
     basis, labels = x_pattern_basis(1)
@@ -200,7 +200,7 @@ def protocol_known_phases(
     theta2 = wrap_phase(float(theta2))
     if phase_distance(theta1, theta2) <= SPECTRUM_ATOL:
         raise ValueError("theta1 and theta2 must differ")
-    phases = eigendecompose_2x2_unitary(u).phases
+    phases = eigendecompose_2x2_unitary(u)
     idx1, idx2 = _match_phases(phases, [theta1, theta2])
     wiring = control_wiring([1])
 
@@ -220,15 +220,8 @@ def protocol_known_phases(
 ETA_LABELS = {0: "eta(1)", 1: "eta(i)", 2: "eta(-1)", 3: "eta(-i)"}
 
 
-def eta_state(z: complex) -> State:
-    """Two-qubit pointer state (|00> + z|01> + z^2|10> + z^3|11>)/2, |z| = 1."""
-    z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-10:
-        raise ValueError("eta is defined for unit-modulus z")
-    return State((2, 2), _eta_amps(z))
-
-
 def _eta_amps(z: complex) -> np.ndarray:
+    """Two-qubit pointer state (|00> + z|01> + z^2|10> + z^3|11>)/2, |z| = 1."""
     return np.array([1.0, z, z ** 2, z ** 3], dtype=complex) / 2.0
 
 
@@ -256,7 +249,7 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     qubits; reading them in the eta basis names one eigenvalue exactly. Wire 2
     carries the named eigenvalue's eigenstate, wire 3 the other one.
     """
-    phases = eigendecompose_2x2_unitary(u).phases
+    phases = eigendecompose_2x2_unitary(u)
     quarter = math.pi / 2.0
     ks = []
     for phase in phases:

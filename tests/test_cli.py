@@ -25,8 +25,14 @@ from qsinglet.cli import (
     run_experiment,
     validate_config,
 )
-from qsinglet.linalg import load_unitary, save_unitary
+from qsinglet.linalg import EigenSystem, load_unitary, save_unitary
 from qsinglet.phase_estimation import MAX_REGISTER_QUBITS, g_amplitude, nearest_grid, run_double_pe
+from qsinglet.protocols import (
+    protocol_known_phases,
+    protocol_pm1,
+    protocol_quartet,
+    protocol_square_trick,
+)
 from qsinglet.qudit import MAX_QUDIT_DIM
 from qsinglet.register import PROB_FLOOR, State
 
@@ -324,6 +330,29 @@ def test_no_run_builds_a_dense_state(protocol, monkeypatch):
         assert report["gate_uses"] >= 1
 
 
+def test_no_two_by_two_run_builds_an_eigensystem(monkeypatch):
+    """The 2x2 runners read only the gate's two eigenphases; no eigenvector
+    basis is built, validated or thrown away."""
+    # each gate is built before the patch: synthesis legitimately builds one
+    runs = [
+        (generate_gate(2, [0.0, np.pi], 1), lambda u, shots: protocol_pm1(u, 1, shots)),
+        (generate_gate(2, [np.pi / 2, 0.0], 2),
+         lambda u, shots: protocol_square_trick(u, 1, shots)),
+        (generate_gate(2, [0.4, 2.2], 3),
+         lambda u, shots: protocol_known_phases(u, 0.4, 2.2, 1, shots)),
+        (generate_gate(2, [np.pi, 1.5 * np.pi], 4), lambda u, shots: protocol_quartet(u, 1, shots)),
+        (generate_gate(2, [0.7, 2.9], 5), lambda u, shots: run_double_pe(u, 4, shots, 1)),
+    ]
+
+    def refuse(self):
+        raise AssertionError("a run built an EigenSystem")
+
+    monkeypatch.setattr(EigenSystem, "__post_init__", refuse)
+    for gate, run in runs:
+        for shots in (0, 8):
+            assert run(gate, shots).gate_uses >= 1
+
+
 def near_equal_known_phases(p_conclusive):
     """Known-phases on phases 0.5 and 0.5 + delta, delta chosen so that each
     conclusive outcome has probability ``p_conclusive``."""
@@ -467,6 +496,36 @@ class TestMain:
         assert set(report) == {"meta", "errors"}
         assert report["errors"] == ["cannot allocate the gate"]
         assert "error:" in captured.err
+
+    def test_run_reports_json_nested_past_the_decoder_depth(self, tmp_path, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        config = tmp_path / "deep.json"
+        config.write_text('{"protocol": "pm1", "gate": ' + deep + "}")
+        gate = tmp_path / "gate.json"
+        gate.write_text(deep)
+        for args in (["--config", config], ["--config", write_config(tmp_path, PM1_CONFIG),
+                                            "--gate", gate]):
+            assert run_cli(["run", *args]) == 1
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            jsonschema.validate(report, SCHEMA)
+            assert set(report) == {"meta", "errors"}
+            assert captured.err.startswith("error:")
+            assert "Traceback" not in captured.err
+
+    def test_run_reports_an_unwritable_out_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        ok = write_config(tmp_path, PM1_CONFIG)
+        refused = write_config(tmp_path, dict(PM1_CONFIG, protocol="bogus"), "bad.json")
+        for config, errors in ((ok, 1), (refused, 2)):
+            assert run_cli(["run", "--config", config, "--out", out]) == 1
+            captured = capsys.readouterr()
+            # there is nowhere to write the report, so none is written
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == errors and all(line.startswith("error:") for line in lines)
+            assert "report.json" in lines[-1]
+            assert not out.parent.exists()
 
     def test_run_refuses_gate_larger_than_any_protocol_accepts(self, tmp_path, capsys):
         config = dict(PM1_CONFIG, gate={"dim": 6, "phases": [0.0] * 5 + [np.pi], "seed": 0})

@@ -109,27 +109,30 @@ def test_unitary_from_eigensystem_builds_x():
     np.testing.assert_allclose(u, X, atol=1e-15)
 
 
+def assert_eigenphases(u, phases):
+    """Each phase is a root of the characteristic polynomial: det(u - e^{i phase} I) = 0."""
+    assert phases.shape == (2,)
+    for phase in phases:
+        assert 0.0 <= phase < 2.0 * np.pi
+        assert abs(np.linalg.det(u - np.exp(1j * phase) * np.eye(2))) < 1e-10
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_eigendecompose_2x2_matches_numpy(seed):
-    """Closed-form 2x2 eigendecomposition against the general solver."""
+    """Closed-form 2x2 eigenphases against the general solver."""
     u = haar_random_unitary(2, seed)
-    system = eigendecompose_2x2_unitary(u)
+    phases = eigendecompose_2x2_unitary(u)
     reference = np.sort(wrap_phase(np.angle(np.linalg.eigvals(u))))
-    mine = np.sort(system.phases)
+    mine = np.sort(phases)
     for p, q in zip(mine, reference):
         assert phase_distance(float(p), float(q)) < 1e-10
-    rebuilt = unitary_from_eigensystem(system)
-    np.testing.assert_allclose(rebuilt, u, atol=1e-10)
+    assert_eigenphases(u, phases)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_eigendecompose_2x2_eigenvalue_equations(seed):
     u = haar_random_unitary(2, seed + 100)
-    system = eigendecompose_2x2_unitary(u)
-    for k in range(2):
-        v = system.vectors[:, k]
-        lam = np.exp(1j * system.phases[k])
-        np.testing.assert_allclose(u @ v, lam * v, atol=1e-10)
+    assert_eigenphases(u, eigendecompose_2x2_unitary(u))
 
 
 def test_eigendecompose_2x2_degenerate_global_phase():
@@ -148,8 +151,7 @@ def test_eigendecompose_2x2_phases_hold_near_degeneracy(gap):
     for seed in range(200):
         low = float(rng.uniform(0.0, 2.0 * math.pi))
         phases = [low, float(wrap_phase(low + gap))]
-        system = eigendecompose_2x2_unitary(generate_gate(2, phases, seed))
-        got = [float(p) for p in system.phases]
+        got = [float(p) for p in eigendecompose_2x2_unitary(generate_gate(2, phases, seed))]
         worst = max(worst, min(
             max(phase_distance(got[0], phases[0]), phase_distance(got[1], phases[1])),
             max(phase_distance(got[0], phases[1]), phase_distance(got[1], phases[0])),
@@ -158,12 +160,13 @@ def test_eigendecompose_2x2_phases_hold_near_degeneracy(gap):
 
 
 def test_eigendecompose_2x2_near_diagonal():
-    # a tiny off-diagonal part must still pick well-conditioned eigenvectors
+    # a reflection with a tiny off-diagonal part still has eigenvalues exactly +-1
     eps = 1e-7
     c, s = math.cos(eps), math.sin(eps)
     u = np.array([[c, -s], [s, c]]) @ np.diag([1.0, -1.0])
-    system = eigendecompose_2x2_unitary(u)
-    np.testing.assert_allclose(unitary_from_eigensystem(system), u, atol=1e-9)
+    phases = eigendecompose_2x2_unitary(u)
+    np.testing.assert_allclose(np.sort(phases), [0.0, np.pi], atol=1e-12)
+    assert_eigenphases(u, phases)
 
 
 def test_unitary_json_roundtrip():
@@ -184,6 +187,12 @@ def test_unitary_from_json_rejects_bad_shapes():
     bad = {"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}
     with pytest.raises(ValueError):
         unitary_from_json(bad)
+    # dim must be an integer and every entry part a number, not coerced to one
+    identity = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    for dim, entries in [(2.5, identity), ("2", identity), (True, [[1.0, 0.0]]),
+                         (2, [[True, False], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])]:
+        with pytest.raises(ValueError, match="must be an integer|must be a number"):
+            unitary_from_json({"dim": dim, "entries": entries})
 
 
 def test_save_load_unitary(tmp_path):

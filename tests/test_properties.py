@@ -35,7 +35,7 @@ from qsinglet.linalg import (
 from qsinglet.phase_estimation import double_pe_output_state, nearest_grid, run_double_pe
 from qsinglet.protocols import (
     control_wiring,
-    eta_state,
+    eta_basis,
     pm1_output_state,
     protocol_known_phases,
     protocol_pm1,
@@ -128,15 +128,22 @@ def assert_matches_dense(report, out, rows, vectors, located):
                 assert abs(fid - fids[labels.index(label)][party][column]) <= F_ATOL
 
 
+def numpy_eigenvectors(u, phases):
+    """The general solver's eigenvectors of ``u``, column k for ``phases[k]``."""
+    values, vectors = np.linalg.eig(u)
+    order = [int(np.argmin(np.abs(values - np.exp(1j * p)))) for p in phases]
+    assert sorted(order) == list(range(len(phases)))
+    return vectors[:, order]
+
+
 def assert_two_wire_matches_dense(report, u, out, rows):
-    system = eigendecompose_2x2_unitary(u)
-    phases = list(system.phases)
+    phases = list(eigendecompose_2x2_unitary(u))
 
     def located(branch):
         return [(f, w, phases.index(phase))
                 for w, (f, phase) in enumerate(zip(branch.fidelities, branch.eigenphases))]
 
-    assert_matches_dense(report, out, rows, system.vectors, located)
+    assert_matches_dense(report, out, rows, numpy_eigenvectors(u, phases), located)
 
 
 @PROPERTY
@@ -164,7 +171,7 @@ def test_square_trick(seed, swap, shot_seed):
 def test_quartet_every_fourth_root_pair(pair, seed, swap, shot_seed):
     u = two_phase_gate([k * math.pi / 2.0 for k in pair], swap, seed)
     exact = check_readout(lambda shots: protocol_quartet(u, shot_seed, shots))
-    rows = np.stack([eta_state(1j ** k).amps for k in range(4)])
+    rows = eta_basis()[0]
     assert_two_wire_matches_dense(exact, u, quartet_output_state(u), rows)
 
 
@@ -292,8 +299,8 @@ def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
     assert sum(sampled.joint_histogram.values()) == SHOTS
     assert [(b.z_a, b.z_b) for b in sampled.branches] == list(sampled.joint_histogram)
 
-    system = eigendecompose_2x2_unitary(u)
-    xbars = [nearest_grid(float(p), n).xbar for p in system.phases]
+    vectors = numpy_eigenvectors(u, exact.eigenphases)
+    xbars = [nearest_grid(float(p), n).xbar for p in exact.eigenphases]
     for branch in exact.branches + sampled.branches:
         # the dense residual's reduced states are the reference
         mat = psi[branch.z_a, branch.z_b] / math.sqrt(joint[branch.z_a, branch.z_b])
@@ -302,7 +309,7 @@ def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
             (mat.T @ np.conjugate(mat), branch.z_b, branch.fidelity_b, branch.match_b),
         )
         for rho, z, fid, match in halves:
-            fids = [float(np.real(np.vdot(v, rho @ v))) for v in system.vectors.T]
+            fids = [float(np.real(np.vdot(v, rho @ v))) for v in vectors.T]
             assert abs(fid - fids[match]) <= 1e-10
             if abs(fid - 0.5) > 1e-9:
                 assert match == min(range(2), key=lambda k: (wrapped_distance(z, xbars[k], size), k))

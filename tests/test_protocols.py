@@ -16,7 +16,6 @@ from qsinglet.discrimination import idp_success_probability
 from qsinglet.protocols import (
     SpectrumError,
     eta_basis,
-    eta_state,
     pm1_output_state,
     protocol_known_phases,
     protocol_pm1,
@@ -178,10 +177,9 @@ class TestKnownPhases:
 
 class TestQuartet:
     def test_eta_state_frozen(self):
-        s = eta_state(1j)
-        np.testing.assert_allclose(s.amps, np.array([1.0, 1j, -1.0, -1j]) / 2.0, atol=1e-15)
-        with pytest.raises(ValueError):
-            eta_state(0.5)
+        basis, labels = eta_basis()
+        assert labels[1] == "eta(i)"
+        np.testing.assert_allclose(basis[1], np.array([1.0, 1j, -1.0, -1j]) / 2.0, atol=1e-15)
 
     def test_eta_basis_orthonormal(self):
         basis, labels = eta_basis()
