@@ -10,6 +10,7 @@ arguments always produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,6 +338,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_gate(args) -> int:
     try:
+        # no protocol runs a larger gate; refuse it before allocating one
+        require_int(args.dim, "dim", minimum=2, maximum=MAX_QUDIT_DIM)
         generate_gate(args.dim, args.phases, args.seed, out=args.out)
     except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -345,7 +348,9 @@ def _cmd_gen_gate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qsinglet`` parser, built once per process and shared: only parse with it."""
     parser = argparse.ArgumentParser(
         prog="qsinglet",
         description="Singlet-based eigenstate location protocols for unknown gates.",

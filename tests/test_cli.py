@@ -1,5 +1,6 @@
 """Tests for the command line runner and its JSON report contract."""
 
+import argparse
 import json
 import math
 import os
@@ -554,11 +555,104 @@ class TestMain:
                         "--out", out]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_gen_gate_refuses_dim_larger_than_any_protocol_accepts(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("generate_gate called for a refused dim")
+
+        monkeypatch.setattr("qsinglet.cli.generate_gate", never)
+        out = tmp_path / "gate.json"
+        for dim in (MAX_QUDIT_DIM + 1, 10 ** 6):
+            args = ["gen-gate", "--dim", dim, "--phases", *[0.0] * 7, "--seed", 0, "--out", out]
+            assert run_cli(args) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: dim must be at most {MAX_QUDIT_DIM}, got {dim}\n"
+            assert captured.out == ""
+        assert not out.exists()
+
+    def test_gen_gate_accepts_the_largest_dim(self, tmp_path, capsys):
+        out = tmp_path / "gate.json"
+        phases = [0.0] * (MAX_QUDIT_DIM - 1) + [np.pi]
+        assert run_cli(["gen-gate", "--dim", MAX_QUDIT_DIM, "--phases", *phases,
+                        "--seed", 0, "--out", out]) == 0
+        assert load_unitary(out).shape == (MAX_QUDIT_DIM, MAX_QUDIT_DIM)
+        capsys.readouterr()
+
     def test_bad_flag_exits_with_usage(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli(["run", "--config", "c.json", "--protocol", "bogus"])
         with pytest.raises(SystemExit):
             run_cli([])
+
+
+class TestParserReuse:
+    """``main`` may be called many times in one process and builds its parser once."""
+
+    @staticmethod
+    def report(capsys):
+        report = json.loads(capsys.readouterr().out)
+        del report["meta"]
+        return report
+
+    def test_later_calls_construct_no_parser(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, PM1_CONFIG)
+        assert run_cli(["run", "--config", path]) == 0
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(3):
+            assert run_cli(["run", "--config", path]) == 0
+        assert run_cli(["gen-gate", "--dim", 2, "--phases", 0.0, 1.0, "--seed", 0,
+                        "--out", tmp_path / "gate.json"]) == 0
+        assert constructed == []
+        capsys.readouterr()
+
+    def test_override_flags_stay_with_their_call(self, tmp_path, capsys):
+        path = write_config(tmp_path, PM1_CONFIG)
+        assert run_cli(["run", "--config", path]) == 0
+        first = self.report(capsys)
+        overridden = ["run", "--config", path, "--protocol", "double-pe", "--n", 4,
+                      "--shots", 0, "--seed", 9]
+        assert run_cli(overridden) == 0
+        report = self.report(capsys)
+        assert report["config"]["protocol"] == "double-pe"
+        assert (report["config"]["shots"], report["config"]["seed"]) == (0, 9)
+        assert report["config"]["params"] == {"n": 4}
+        assert run_cli(["run", "--config", path]) == 0
+        assert self.report(capsys) == first
+
+    @pytest.mark.parametrize("bad", [["run"], ["run", "--config", "c.json", "--bogus", "1"]])
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, PM1_CONFIG)
+        assert run_cli(["run", "--config", path]) == 0
+        first = self.report(capsys)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qsinglet") and "error:" in err
+        assert run_cli(["run", "--config", path]) == 0
+        assert self.report(capsys) == first
+
+    def test_gen_gate_and_run_interleave(self, tmp_path, capsys):
+        gates = [tmp_path / f"gate{i}.json" for i in range(2)]
+        path = write_config(tmp_path, PM1_CONFIG)
+        reports = []
+        for gate in gates:
+            assert run_cli(["gen-gate", "--dim", 2, "--phases", 0.0, np.pi, "--seed", 9,
+                            "--out", gate]) == 0
+            capsys.readouterr()
+            assert run_cli(["run", "--config", path, "--gate", gate]) == 0
+            reports.append(self.report(capsys))
+        assert gates[0].read_bytes() == gates[1].read_bytes()
+        assert reports[0]["config"].pop("gate") == {"file": str(gates[0])}
+        assert reports[1]["config"].pop("gate") == {"file": str(gates[1])}
+        assert reports[0] == reports[1]
 
 
 class TestProtocolTable:
