@@ -100,19 +100,38 @@ def _tomography(gate, shots, seed, **params) -> dict:
     return {"fidelities": {}, "gate_uses": gate_uses, "estimate": estimate}
 
 
+@functools.cache
+def _text_ranks(n: int) -> np.ndarray:
+    """Each n-qubit reading z's position among the sorted texts ``str(0..2^n - 1)``."""
+    ranks = np.empty(2 ** n, dtype=np.int64)
+    ranks[sorted(range(2 ** n), key=str)] = np.arange(2 ** n)
+    # cached and shared by every caller, so nothing may change it
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _reading_keys(readings: np.ndarray, n: int):
+    """The ``"za,zb"`` keys of distinct flat readings in string order, and that order.
+
+    "," sorts below every digit, so the keys sort as (rank[za], rank[zb]).
+    """
+    ranks = _text_ranks(n)
+    z_a, z_b = np.divmod(readings, 2 ** n)
+    order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
+    # built per call: cached, the texts of every n run would stay resident
+    names = list(map(str, range(2 ** n)))
+    heads = [name + "," for name in names]
+    return [heads[a] + names[b] for a, b in zip(z_a[order].tolist(), z_b[order].tolist())], order
+
+
 def _double_pe(gate, shots, seed, n) -> dict:
     if gate.shape != (2, 2):
         raise ValueError("double-pe runs on 2x2 gates")
     report = run_double_pe(gate, n, shots=shots, seed=seed)
-    size = 2 ** n
-    names = [str(z) for z in range(size)]
-    kept = report.ranked
-    keys = [
-        f"{names[za]},{names[zb]}"
-        for za, zb in zip((kept // size).tolist(), (kept % size).tolist())
-    ]
+    # built in key order, so the writer's sort is one linear pass
+    keys, order = _reading_keys(report.ranked, n)
     body = {
-        "exact_distribution": dict(zip(keys, report.ranked_probabilities.tolist())),
+        "exact_distribution": dict(zip(keys, report.ranked_probabilities[order].tolist())),
         "fidelities": {
             f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
         },
@@ -253,48 +272,77 @@ def resolve_gate(source) -> np.ndarray:
     )
 
 
-def _number_texts(values: list):
-    """The JSON text of each value when all are finite floats or all are ints, else None.
+# below this many floats a list is formatted directly: the memo's set and dict
+# cost more than the repeats they save
+FLOAT_MEMO_MIN = 16
 
-    Each distinct float is formatted once. Equal numbers of different types
-    (1, 1.0, True) have different texts, and ``json.dumps`` spells NaN and the
-    infinities its own way, so maps holding those are left to it.
+
+def _texts(values: list, indent: str) -> list:
+    """The JSON text of each value, nested at ``indent``.
+
+    One type check covers a list of floats or of ints; each distinct float of
+    a long one is formatted once. Any other list goes value by value.
     """
     kinds = set(map(type, values))
     if kinds == {float}:
-        distinct = set(values)
-        # the sum is finite unless a value is NaN or infinite (or it overflows)
-        if not math.isfinite(sum(distinct)):
-            return None
-        memo = dict(zip(distinct, map(float.__repr__, distinct)))
-        if 0.0 in memo:
-            # 0.0 == -0.0 but their texts differ, so zeros skip the memo
-            return [memo[v] if v else float.__repr__(v) for v in values]
-        return list(map(memo.__getitem__, values))
-    if kinds == {int}:
+        if len(values) < FLOAT_MEMO_MIN:
+            # the sum is finite unless a value is NaN or infinite (or it overflows)
+            if math.isfinite(sum(values)):
+                return list(map(float.__repr__, values))
+        else:
+            distinct = set(values)
+            if math.isfinite(sum(distinct)):
+                memo = dict(zip(distinct, map(float.__repr__, distinct)))
+                if 0.0 in memo:
+                    # 0.0 == -0.0 but their texts differ, so zeros skip the memo
+                    return [memo[v] if v else float.__repr__(v) for v in values]
+                return list(map(memo.__getitem__, values))
+    elif kinds == {int}:
         return list(map(int.__repr__, values))
-    return None
+    return [report_json(v, indent) for v in values]
 
 
 def report_json(value, indent: str = "") -> str:
     """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
 
-    A flat map of numbers (an ``exact_distribution`` or a ``histogram``) is
-    written as one join of its sorted ``"key": value`` lines, and an object
-    with string keys and some object value key by key; every other value goes
-    through ``json.dumps``. JSON strings hold no raw newline, so re-indenting
-    a nested value's lines changes nothing else.
+    Objects with string keys, lists, strings, ints, finite floats, booleans
+    and None are written here, in one pass over the value. Sorting an
+    object's keys is one linear pass when it was built in key order, as
+    double-pe's ``exact_distribution`` is (its ranking lives in
+    ``PeReport.ranked``). What only ``json.dumps`` spells byte for byte (NaN
+    and the infinities, non-string keys, other types) is handed to it one
+    value at a time: JSON strings hold no raw newline, so re-indenting its
+    lines changes nothing else.
     """
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        inner = indent + "  "
-        keys = sorted(value)
-        values = [value[k] for k in keys]
-        texts = _number_texts(values)
-        if texts is None and any(type(v) is dict for v in values):
-            texts = [report_json(v, inner) for v in values]
-        if texts is not None:
-            lines = map(": ".join, zip(map(encode_basestring_ascii, keys), texts))
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        if set(map(type, value)) == {str}:
+            keys = sorted(value)
+            if keys == list(value):
+                values = list(value.values())
+            else:
+                values = list(map(value.__getitem__, keys))
+            inner = indent + "  "
+            lines = map(": ".join, zip(map(encode_basestring_ascii, keys), _texts(values, inner)))
             return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + indent + "}"
+    elif kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + inner + (",\n" + inner).join(_texts(value, inner)) + "\n" + indent + "]"
+    elif kind is str:
+        return encode_basestring_ascii(value)
+    elif kind is int:
+        return int.__repr__(value)
+    elif kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 

@@ -22,6 +22,7 @@ from qsinglet.cli import (
     generate_gate,
     load_config,
     main,
+    report_json,
     resolve_gate,
     run_experiment,
     validate_config,
@@ -207,17 +208,19 @@ class TestRunExperiment:
             "seed": 1929232158,
             "params": {"n": 8},
         }
-        distribution = run_experiment(config)["exact_distribution"]
-        keys = list(distribution)
-        assert len(keys) == 4096
-        assert keys[-1] == "22,184" and "184,22" not in distribution
-        flat = run_double_pe(resolve_gate(config["gate"]), 8).exact_joint.reshape(-1)
+        report = run_double_pe(resolve_gate(config["gate"]), 8)
+        flat = report.exact_joint.reshape(-1)
         above = [i for i in range(flat.shape[0]) if flat[i] > PROB_FLOOR]
         ranked = sorted(above, key=lambda i: (-flat[i], i))
         assert flat[ranked[4095]] == flat[ranked[4096]]
         oracle = ranked[:4096]
-        assert keys == [f"{i // 256},{i % 256}" for i in oracle]
-        assert list(distribution.values()) == [float(flat[i]) for i in oracle]
+        # the library keeps the ranking; the report's map is in key order
+        assert report.ranked.tolist() == oracle
+        assert report.ranked_probabilities.tolist() == [float(flat[i]) for i in oracle]
+        assert report.ranked[-1] == 22 * 256 + 184
+        distribution = run_experiment(config)["exact_distribution"]
+        assert distribution == {f"{i // 256},{i % 256}": float(flat[i]) for i in oracle}
+        assert "22,184" in distribution and "184,22" not in distribution
 
     @pytest.mark.parametrize(
         "phases, gate_seed, seed",
@@ -394,22 +397,42 @@ OFF_GRID_DOUBLE_PE = {
 }
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
-        *(PROTOCOL_CONFIGS[p] for p in sorted(PROTOCOL_CONFIGS)),
-        OFF_GRID_DOUBLE_PE,
-        dict(OFF_GRID_DOUBLE_PE, shots=1000),
-        dict(PM1_CONFIG, protocol="bogus"),
-    ],
-    ids=[*sorted(PROTOCOL_CONFIGS), "double-pe-off-grid", "double-pe-off-grid-shots", "errors"],
-)
+# one report of each shape: every protocol, an exact and two sampled off-grid
+# double-pe runs, and a refused config's errors report
+REPORT_SHAPES = {
+    **PROTOCOL_CONFIGS,
+    "double-pe-off-grid": OFF_GRID_DOUBLE_PE,
+    "double-pe-off-grid-shots": dict(OFF_GRID_DOUBLE_PE, shots=1000),
+    "double-pe-n4-shots": dict(OFF_GRID_DOUBLE_PE, shots=300, params={"n": 4}),
+    "errors": dict(PM1_CONFIG, protocol="bogus"),
+}
+
+
+@pytest.mark.parametrize("config", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
 def test_report_bytes_are_json_dumps_of_the_report(tmp_path, config):
     out = tmp_path / "report.json"
     run_cli(["run", "--config", write_config(tmp_path, config), "--out", out])
     text = out.read_text(encoding="utf-8")
     # floats round-trip through their repr, so loading loses nothing
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("config", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
+def test_report_writer_formats_every_report_shape_itself(tmp_path, config, monkeypatch):
+    if config["protocol"] in PROTOCOLS:
+        report = run_experiment(dict(config))
+    else:
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--config", write_config(tmp_path, config), "--out", out]) == 1
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert "errors" in report
+    expected = json.dumps(report, sort_keys=True, indent=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report_json handed part of a report to json.dumps")
+
+    monkeypatch.setattr("qsinglet.cli.json.dumps", refuse)
+    assert report_json(report) == expected
 
 
 class TestMain:

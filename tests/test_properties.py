@@ -21,7 +21,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsinglet.cli import MAX_SHOTS, main, report_json
+from qsinglet.cli import MAX_SHOTS, _reading_keys, main, report_json
 from qsinglet.discrimination import build_idp_povm, equatorial_state
 from qsinglet.linalg import (
     MAX_SEED,
@@ -555,3 +555,22 @@ flat_maps = st.one_of(
 @example(value={"h": {"1,2": 3, "0,1": 1, "2,2": 3}})
 def test_report_writer_equals_json_dumps(value):
     assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# a register size, then distinct flat readings z_a * 2^n + z_b in any order
+reading_sets = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, 4 ** n - 1), unique=True, max_size=300)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=reading_sets)
+# "1,10" < "1,2" < "10,1" < "2,1": the comma sorts below every digit
+@example(case=(4, [1 * 16 + 10, 10 * 16 + 1, 1 * 16 + 2, 2 * 16 + 1, 0]))
+def test_double_pe_keys_are_built_in_key_order(case):
+    n, readings = case
+    keys, order = _reading_keys(np.array(readings, dtype=np.int64), n)
+    assert keys == sorted(keys)
+    assert keys == [f"{readings[i] // 2 ** n},{readings[i] % 2 ** n}" for i in order.tolist()]
