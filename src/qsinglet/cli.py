@@ -118,10 +118,15 @@ def _reading_keys(readings: np.ndarray, n: int):
     ranks = _text_ranks(n)
     z_a, z_b = np.divmod(readings, 2 ** n)
     order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
+    z_a, z_b = z_a[order].tolist(), z_b[order].tolist()
+    if len(order) < 2 ** n:
+        # fewer keys than texts (every on-grid run keeps one or two): format
+        # only the readings present
+        return [f"{a},{b}" for a, b in zip(z_a, z_b)], order
     # built per call: cached, the texts of every n run would stay resident
     names = list(map(str, range(2 ** n)))
     heads = [name + "," for name in names]
-    return [heads[a] + names[b] for a, b in zip(z_a[order].tolist(), z_b[order].tolist())], order
+    return [heads[a] + names[b] for a, b in zip(z_a, z_b)], order
 
 
 def _double_pe(gate, shots, seed, n) -> dict:

@@ -78,6 +78,12 @@ def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def wrap_phase(phi):
     """Reduce an angle (scalar or array) to the interval [0, 2*pi)."""
+    if isinstance(phi, float):
+        # Python's float % follows np.mod's rule: the sign-corrected fmod, and
+        # +0.0 for a zero remainder
+        out = float(phi) % TWO_PI
+        # the remainder can round a tiny negative input up to exactly 2*pi
+        return 0.0 if out >= TWO_PI else out
     out = np.mod(phi, TWO_PI)
     # np.mod can round a tiny negative input up to exactly 2*pi
     out = np.where(out >= TWO_PI, 0.0, out)
@@ -127,8 +133,10 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # one draw for both parts: the real part's numbers come first, as two
+    # separate calls would draw them
+    re, im = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    z = re + 1j * im
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -146,7 +154,9 @@ def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
     if len(phases) != dim:
         raise ValueError(f"need exactly {dim} phases, got {len(phases)}")
     basis = haar_random_unitary(dim, seed)
-    gate = unitary_from_eigensystem(EigenSystem(basis, wrap_phase(np.array(phases))))
+    # unitary_from_eigensystem's product; QR already made the basis unitary,
+    # so it is not wrapped in an EigenSystem to be checked again
+    gate = (basis * np.exp(1j * wrap_phase(np.array(phases)))) @ dagger(basis)
     if out is not None:
         save_unitary(out, gate)
     return gate

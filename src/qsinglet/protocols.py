@@ -5,8 +5,10 @@ Every protocol here shares one trick: feed half of a two-qubit singlet through
 a controlled power of the gate, then read the control side in a basis that
 tags which eigenstate landed on which wire. The exact branch analysis (Born
 probabilities, per-wire fidelities, eigenphase assignments) is always
-computed on the gate's eigenbasis by :func:`readout`, with the dense
-``*_output_state`` networks as its test reference; sampling only draws shots.
+computed on the gate's eigenbasis, from closed-form cosine profiles over the
+arrangements of its eigenvectors on the singlet parties. :func:`readout` and
+the dense ``*_output_state`` networks are their test references; sampling
+only draws shots.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from .linalg import (
     SpectrumError,
     eigendecompose_2x2_unitary,
     phase_distance,
-    qubit_perp,
     require_int,
     require_unitary,
     wrap_phase,
 )
-from .register import PROB_FLOOR, State, sample_counts, x_pattern_basis
+from .register import PROB_FLOOR, State, sample_counts, x_pattern_labels
 from .singlet import network_output_state, singlet_network, singlet_weights
 
 SPECTRUM_ATOL = 1e-8
@@ -101,16 +102,44 @@ def readout(phases, wiring, rows, targets) -> tuple:
     return probs, fidelities
 
 
-def _eigen_readout(phases, wiring, rows, labels, assignment) -> tuple:
-    """:func:`readout` of a 2x2 gate with eigenphases ``phases`` whose outcome
-    m should leave the eigenvectors ``assignment[m]`` on singlet parties 0, 1;
-    returns the probabilities and a :class:`BranchReport` per label."""
-    targets = {m: tuple(enumerate(ks)) for m, ks in assignment.items()}
-    probs, fidelities = readout(phases, wiring, rows, targets)
-    branches = {
-        labels[m]: BranchReport(probs[m], fids, tuple(float(phases[k]) for k in assignment[m]))
-        for m, fids in fidelities.items()
-    }
+def x_profile(thetas) -> list:
+    """Probabilities of the +-x patterns of control qubits left in
+    (|0> + exp(i thetas[c])|1>)/sqrt(2), in pattern order (+x as 0, first
+    control most significant): the product over controls of (1 +- cos)/2.
+
+    Written with cos rather than cos^2 or sin^2 of half the angle because
+    ``math.cos(math.pi)`` is exactly -1.0, so controls at 0 or pi read exactly.
+    """
+    profile = [1.0]
+    for theta in thetas:
+        c = math.cos(theta)
+        plus, minus = (1.0 + c) / 2.0, (1.0 - c) / 2.0
+        profile = [w * f for w in profile for f in (plus, minus)]
+    return profile
+
+
+def _eigen_branches(phases, profile, labels, assignment) -> tuple:
+    """Probabilities, and a :class:`BranchReport` per label above PROB_FLOOR,
+    of a readout of the singlet network of a 2x2 gate with eigenphases
+    ``phases``.
+
+    The singlet holds the two eigenvectors in two arrangements: party 0 holds
+    e_0 and party 1 e_1, or the reverse. ``profile(phase)`` lists every
+    outcome's weight |<r_m|chi>|^2 when party 0 holds the eigenvector of
+    ``phase``. As in :func:`readout`, outcome m has probability the mean of its
+    two weights; it should leave the eigenvectors ``assignment[m]`` on parties
+    0 and 1, and both parties' fidelity is the share of the arrangement that
+    does.
+    """
+    weights = list(zip(*(profile(float(phase)) for phase in phases)))
+    probs = [(w0 + w1) / 2.0 for w0, w1 in weights]
+    branches = {}
+    for m, p in enumerate(probs):
+        if p > PROB_FLOOR:
+            w = weights[m]
+            share = w[assignment[m][0]] / (w[0] + w[1])
+            eigenphases = tuple(float(phases[k]) for k in assignment[m])
+            branches[labels[m]] = BranchReport(p, (share, share), eigenphases)
     return probs, branches
 
 
@@ -160,11 +189,13 @@ def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     """
     phases = eigendecompose_2x2_unitary(u)
     first, second = _match_phases(phases, targets)
-    wiring = control_wiring(powers)
-    basis, labels = x_pattern_basis(1)
+    power = sum(powers)
+    labels = x_pattern_labels(1)
     assignment = {0: (first, second), 1: (second, first)}
-    probs, branches = _eigen_readout(phases, wiring, basis, labels, assignment)
-    return labelled_report((1, 2), labels, probs, branches, seed, shots, wiring)
+    probs, branches = _eigen_branches(
+        phases, lambda phase: x_profile([power * phase]), labels, assignment
+    )
+    return labelled_report((1, 2), labels, probs, branches, seed, shots, control_wiring(powers))
 
 
 def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -204,20 +235,27 @@ def protocol_known_phases(
     idx1, idx2 = _match_phases(phases, [theta1, theta2])
     wiring = control_wiring([1])
 
-    # optimal unambiguous discrimination of the pointer states: element "v1" is
-    # |r><r|, r = perp(v2)/sqrt(1 + |<v1|v2>|), "v2" likewise; "fail" the rest
-    v1 = equatorial_state(theta1)
-    v2 = equatorial_state(theta2)
-    rows = np.stack([qubit_perp(v2), qubit_perp(v1)]) / math.sqrt(1.0 + abs(np.vdot(v1, v2)))
+    # optimal unambiguous discrimination of the pointer states v_j =
+    # equatorial_state(theta_j): element "v1" is |r><r|, r = perp(v2)/sqrt(1 +
+    # |<v1|v2>|), "v2" likewise; "fail" the rest. With the control in
+    # equatorial_state(phase), |<r|chi>|^2 = sin^2((phase - theta2)/2) / (1 +
+    # |cos((theta1 - theta2)/2)|), and likewise for "v2" with theta1.
+    norm = 1.0 + abs(math.cos((theta1 - theta2) / 2.0))
+
+    def profile(phase):
+        s2 = math.sin((phase - theta2) / 2.0)
+        s1 = math.sin((phase - theta1) / 2.0)
+        return [s2 * s2 / norm, s1 * s1 / norm]
+
     assignment = {0: (idx1, idx2), 1: (idx2, idx1)}
-    probs, branches = _eigen_readout(phases, wiring, rows, ["v1", "v2"], assignment)
+    probs, branches = _eigen_branches(phases, profile, ["v1", "v2"], assignment)
     probs.append(max(1.0 - probs[0] - probs[1], 0.0))
     branches[FAIL_LABEL] = BranchReport(probs[2])
     labels = ["v1", "v2", FAIL_LABEL]
     return labelled_report((1, 2), labels, probs, branches, seed, shots, wiring)
 
 
-ETA_LABELS = {0: "eta(1)", 1: "eta(i)", 2: "eta(-1)", 3: "eta(-i)"}
+ETA_LABELS = ("eta(1)", "eta(i)", "eta(-1)", "eta(-i)")
 
 
 def _eta_amps(z: complex) -> np.ndarray:
@@ -228,13 +266,25 @@ def _eta_amps(z: complex) -> np.ndarray:
 def eta_basis():
     """Orthonormal basis {eta(i^k)} of two qubits, labels eta(1), eta(i), ..."""
     vectors = [_eta_amps(1j ** k) for k in range(4)]
-    labels = [ETA_LABELS[k] for k in range(4)]
+    labels = list(ETA_LABELS)
     return np.stack(vectors), labels
 
 
 # two control qubits on the first singlet party (wire 2): control 1 applies
 # the gate, control 0 its square
 QUARTET_WIRING = ((1, 0, 1), (0, 0, 2))
+
+
+def _eta_profile(phase: float) -> list:
+    """Weights of reading eta(i^k), k = 0..3, when the quartet's gate acts on
+    the eigenvector of ``phase``: the controls hold (1, z, z^2, z^3)/2 with z =
+    exp(i phase), so with x = phase - k pi/2 the weight is the two-qubit
+    Fourier profile (1 + cos x)/2 (1 + cos 2x)/2."""
+    weights = []
+    for k in range(4):
+        x = phase - k * (math.pi / 2.0)
+        weights.append((1.0 + math.cos(x)) / 2.0 * ((1.0 + math.cos(2.0 * x)) / 2.0))
+    return weights
 
 
 def quartet_output_state(u: np.ndarray) -> State:
@@ -263,9 +313,9 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     if ks[0] == ks[1]:
         raise SpectrumError("gate eigenvalues must be distinct fourth roots of unity")
 
-    basis, labels = eta_basis()
+    labels = list(ETA_LABELS)
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
-    probs, branches = _eigen_readout(phases, QUARTET_WIRING, basis, labels, eigen_for_k)
+    probs, branches = _eigen_branches(phases, _eta_profile, labels, eigen_for_k)
     return labelled_report((2, 3), labels, probs, branches, seed, shots, QUARTET_WIRING)
 
 
@@ -302,21 +352,21 @@ def tomography_baseline(
     phase_grid_size = require_int(phase_grid_size, "phase_grid_size")
     if phase_grid_size < 3:
         raise ValueError("need at least 3 phase points to fit the fringe")
-    rng = np.random.default_rng(seed)
     # a controlled use on |1>|target> leaves |0> on the target with
-    # probability |<0|u|target>|^2
-    zeros = rng.binomial(shots_per_setting, abs(u[0, 0]) ** 2)
+    # probability |<0|u|target>|^2; the targets are |0>, then the grid's
+    # equatorial states
+    thetas = 2.0 * np.pi * np.arange(phase_grid_size) / phase_grid_size
+    probs = [abs(u[0, 0]) ** 2]
+    probs += [abs(u[0] @ equatorial_state(theta)) ** 2 for theta in thetas]
+    # one draw per setting, in setting order, as separate calls would make
+    counts = np.random.default_rng(seed).binomial(shots_per_setting, probs)
+    zeros = counts[0]
     p00 = zeros / shots_per_setting
     p10 = (shots_per_setting - zeros) / shots_per_setting
-
-    thetas = 2.0 * np.pi * np.arange(phase_grid_size) / phase_grid_size
-    fringe = []
-    for theta in thetas:
-        hits = rng.binomial(shots_per_setting, abs(u[0] @ equatorial_state(theta)) ** 2)
-        fringe.append(hits / shots_per_setting)
+    fringe = counts[1:] / shots_per_setting
 
     design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
-    _, alpha, beta = np.linalg.lstsq(design, np.array(fringe), rcond=None)[0]
+    _, alpha, beta = np.linalg.lstsq(design, fringe, rcond=None)[0]
     relative_phase = wrap_phase(math.atan2(-beta, alpha))
     return TomographyEstimate(
         p00=float(p00),

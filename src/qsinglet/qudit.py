@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import require_unitary
-from .protocols import ProtocolReport, SpectrumError, labelled_report, readout
-from .register import State, fix_phase, x_pattern_basis
+from .protocols import ProtocolReport, SpectrumError, labelled_report, x_profile
+from .register import PROB_FLOOR, State, fix_phase, x_pattern_labels
 from .singlet import network_output_state
 
 MAX_QUDIT_DIM = 5
@@ -93,7 +93,8 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
 
     Uses the gate D-1 times. Every allowed pattern occurs with probability
     1/D, and the located wire's fidelity with the -1 eigenvector is read off
-    the eigenbasis analysis.
+    the eigenbasis analysis: the control patterns' closed-form +-x profile
+    for each party the -1 eigenvector can sit on.
     """
     u = require_unitary(u, what="gate")
     d = u.shape[0]
@@ -101,16 +102,21 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
         raise ValueError(f"gate dimension must be in 2..{MAX_QUDIT_DIM}, got {d}")
     _check_minus_one_spectrum(u)
     wiring = minus_one_wiring(d)
-    basis, labels = x_pattern_basis(d - 1)
-    # eigenvector 0 is the -1 vector; the singlet has the same form on every
-    # orthonormal completion of it, so the +1 eigenvectors need not be named
-    phases = [math.pi] + [0.0] * (d - 1)
+    labels = x_pattern_labels(d - 1)
+    # the singlet has the same form on every orthonormal completion of the -1
+    # vector, so only the party p it sits on matters: (D-1)! of the D!
+    # arrangements each, all alike, so each p has weight 1/D. Control k then
+    # carries phase pi when k == p and 0 otherwise (no control when p = D-1).
+    profiles = [x_profile([math.pi if k == p else 0.0 for k in range(d - 1)]) for p in range(d)]
     # bit k of pattern m (most significant first) is set when control k read
     # -x; the one set bit names party k, and none names the last party
     located = [d - 1 - m.bit_length() for m in range(len(labels))]
-    probs, fidelities = readout(phases, wiring, basis, [((wire, 0),) for wire in located])
-    branches = {
-        labels[m]: QuditBranch(probs[m], located[m], fid) for m, (fid,) in fidelities.items()
-    }
+    probs = []
+    branches = {}
+    for m, weights in enumerate(zip(*profiles)):
+        total = sum(weights)
+        probs.append(total / d)
+        if probs[m] > PROB_FLOOR:
+            branches[labels[m]] = QuditBranch(probs[m], located[m], weights[located[m]] / total)
     wires = tuple(range(d - 1, 2 * d - 1))
     return labelled_report(wires, labels, probs, branches, seed, shots, wiring)

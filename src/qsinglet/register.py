@@ -7,6 +7,7 @@ subsystem as the most significant digit, matching ``np.kron``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -335,8 +336,10 @@ def x_pattern_basis(qubits: int):
     for _ in range(qubits):
         rows, cols = basis.shape
         basis = (basis[:, None, :, None] * single[None, :, None, :]).reshape(2 * rows, 2 * cols)
-    labels = [
-        ",".join(X_LABELS[(pattern >> (qubits - 1 - i)) & 1] for i in range(qubits))
-        for pattern in range(2 ** qubits)
-    ]
-    return basis, labels
+    return basis, x_pattern_labels(qubits)
+
+
+def x_pattern_labels(qubits: int) -> list:
+    """Labels of the product +-x patterns on ``qubits`` qubits, in pattern
+    order: +x as 0, first qubit most significant."""
+    return [",".join(pattern) for pattern in itertools.product(X_LABELS, repeat=qubits)]

@@ -3,8 +3,9 @@
 The D-party singlet carries amplitude sign(p)/sqrt(D!) on every permutation
 basis state |p(0) p(1) ... p(D-1)> and zero elsewhere. Applying the same
 unitary V to every subsystem leaves it invariant up to the factor det(V), so
-it has that form on the gate's eigenbasis too, which :func:`singlet_weights`
-reads the protocols' outcomes off.
+it has that form on the gate's eigenbasis too. The protocols read their
+outcomes off that form in closed form; :func:`singlet_weights` evaluates it
+for any wiring and readout basis, as their test reference.
 """
 
 from __future__ import annotations

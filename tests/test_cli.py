@@ -222,6 +222,20 @@ class TestRunExperiment:
         assert distribution == {f"{i // 256},{i % 256}": float(flat[i]) for i in oracle}
         assert "22,184" in distribution and "184,22" not in distribution
 
+    @pytest.mark.parametrize("shots", [0, 5])
+    def test_on_grid_n10_double_pe_keys(self, shots):
+        """An on-grid n = 10 run keeps two of the 2^20 readings; their keys
+        are in string order ("1000,99" before "99,1000")."""
+        config = {
+            "protocol": "double-pe",
+            "gate": {"dim": 2, "phases": [2 * np.pi * 99 / 1024, 2 * np.pi * 1000 / 1024],
+                     "seed": 5},
+            "shots": shots, "seed": 0, "params": {"n": 10},
+        }
+        report = run_experiment(config)
+        assert list(report["exact_distribution"].items()) == [("1000,99", 0.5), ("99,1000", 0.5)]
+        assert set(report["fidelities"]) == {"1000,99", "99,1000"}
+
     @pytest.mark.parametrize(
         "phases, gate_seed, seed",
         [
@@ -433,6 +447,51 @@ def test_report_writer_formats_every_report_shape_itself(tmp_path, config, monke
 
     monkeypatch.setattr("qsinglet.cli.json.dumps", refuse)
     assert report_json(report) == expected
+
+
+def seeded_labelled_configs(count):
+    """``count`` configs of each labelled protocol (the -1 locator at each
+    d = 2..5), with gates, phase orders, shots and seeds drawn from one seed."""
+    draw = np.random.default_rng(23)
+    quarter = np.pi / 2
+    configs = []
+    for _ in range(count):
+        theta1 = draw.uniform(0.0, 2 * np.pi)
+        theta2 = (theta1 + draw.uniform(0.3, 2 * np.pi - 0.3)) % (2 * np.pi)
+        k1, k2 = draw.choice(4, size=2, replace=False).tolist()
+        runs = [
+            ("pm1", [0.0, np.pi], {}),
+            ("square-trick", [0.0, quarter], {}),
+            ("known-phases", [theta1, theta2], {"theta1": theta1, "theta2": theta2}),
+            ("quartet", [k1 * quarter, k2 * quarter], {}),
+        ]
+        for d in range(2, MAX_QUDIT_DIM + 1):
+            flip = int(draw.integers(d))
+            runs.append(("qudit-minus-one", [np.pi if k == flip else 0.0 for k in range(d)],
+                         {"d": d}))
+        for protocol, phases, params in runs:
+            if len(phases) == 2 and draw.integers(2):
+                phases = phases[::-1]
+            gate = {"dim": len(phases), "phases": phases, "seed": int(draw.integers(2 ** 31))}
+            configs.append({
+                "protocol": protocol, "gate": gate, "shots": int(draw.choice([0, 1, 100])),
+                "seed": int(draw.integers(2 ** 31)), "params": params,
+            })
+    return configs
+
+
+def test_reports_hold_probabilities_and_fidelities_in_the_unit_interval(tmp_path):
+    """Every report shape, and every labelled report of a seeded sample,
+    validates against the schema, whose probabilities and fidelities lie in
+    [0, 1] with no allowance for rounding."""
+    assert SCHEMA["properties"]["exact_distribution"]["additionalProperties"]["maximum"] == 1
+    validator = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+    for name, config in REPORT_SHAPES.items():
+        out = tmp_path / f"{name}.json"
+        run_cli(["run", "--config", write_config(tmp_path, config), "--out", out])
+        validator.validate(json.loads(out.read_text(encoding="utf-8")))
+    for config in seeded_labelled_configs(40):
+        validator.validate(run_experiment(config))
 
 
 class TestMain:

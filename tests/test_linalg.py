@@ -109,6 +109,27 @@ def test_unitary_from_eigensystem_builds_x():
     np.testing.assert_allclose(u, X, atol=1e-15)
 
 
+def composed_gate(dim, phases, seed):
+    """The reference synthesis: a Haar basis drawn with one standard_normal
+    call per Gaussian part, checked and assembled through an EigenSystem."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    basis = q * (d / np.abs(d))
+    assert haar_random_unitary(dim, seed).tobytes() == basis.tobytes()
+    return unitary_from_eigensystem(EigenSystem(basis, wrap_phase(np.array(phases))))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_generate_gate_is_bitwise_the_eigensystem_composition(dim):
+    draws = np.random.default_rng(dim)
+    for seed in range(500):
+        # unwrapped float phases, and the integer phases a config may hold
+        phases = draws.uniform(-8.0, 8.0, dim).tolist() if seed % 5 else list(range(dim))
+        assert generate_gate(dim, phases, seed).tobytes() == composed_gate(dim, phases, seed).tobytes()
+
+
 def assert_eigenphases(u, phases):
     """Each phase is a root of the characteristic polynomial: det(u - e^{i phase} I) = 0."""
     assert phases.shape == (2,)

@@ -9,10 +9,13 @@ every run and a malformed one an errors report, and the report writer writes
 what ``json.dumps`` would.
 """
 
+import decimal
 import itertools
 import json
 import math
+import struct
 import tempfile
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -198,6 +201,66 @@ def test_known_phases_separated_pairs(theta1, gap, seed, swap, shot_seed):
     assert abs(exact.exact_distribution["fail"] - p_fail) <= P_ATOL
 
 
+# pi to 60 digits, for the 40-digit references below
+DECIMAL_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def decimal_cos(x: Decimal) -> Decimal:
+    """cos x to 40 digits or better: its Taylor series after reducing x into
+    [-pi, pi]. Call it in a context of at least 50 digits."""
+    x = x.remainder_near(2 * DECIMAL_PI)
+    term = total = Decimal(1)
+    k = 0
+    while abs(term) > Decimal("1e-45"):
+        k += 2
+        term *= -x * x / (k * (k - 1))
+        total += term
+    return total
+
+
+# the known-phases closed form against a 40-digit evaluation of it
+CLOSED_FORM_ATOL = Decimal("1e-15")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta1=angles,
+    gap=st.floats(min_value=0.01, max_value=TWO_PI - 0.01),
+    seed=seeds, swap=orders,
+)
+def test_known_phases_matches_a_40_digit_evaluation(theta1, gap, seed, swap):
+    """With the gate's float eigenphases phi taken as exact, conclusive
+    outcome "v1" has probability mean_phi sin^2((phi - theta2)/2) / (1 +
+    |cos((theta1 - theta2)/2)|), "v2" likewise with theta1, and "fail" the
+    rest; each conclusive fidelity is the matching phase's share of the sum."""
+    theta2 = math.fmod(theta1 + gap, TWO_PI)
+    u = two_phase_gate((theta1, theta2), swap, seed)
+    report = protocol_known_phases(u, theta1, theta2, shots=0)
+    with decimal.localcontext() as context:
+        context.prec = 50
+        phases = [Decimal(float(p)) for p in eigendecompose_2x2_unitary(u)]
+        t1, t2 = Decimal(theta1), Decimal(theta2)
+        norm = 1 + abs(decimal_cos((t1 - t2) / 2))
+
+        def weight(phase, theta):
+            return (1 - decimal_cos(phase - theta)) / 2 / norm
+
+        expected = {
+            label: sum(weight(p, theta) for p in phases) / 2
+            for label, theta in (("v1", t2), ("v2", t1))
+        }
+        expected["fail"] = 1 - expected["v1"] - expected["v2"]
+        for label, p in expected.items():
+            assert abs(Decimal(report.exact_distribution[label]) - p) <= CLOSED_FORM_ATOL
+        for label, theta in (("v1", t2), ("v2", t1)):
+            branch = report.branches[label]
+            share = weight(Decimal(branch.eigenphases[0]), theta) / sum(
+                weight(p, theta) for p in phases
+            )
+            for fid in branch.fidelities:
+                assert abs(Decimal(fid) - share) <= CLOSED_FORM_ATOL
+
+
 def assert_qudit_matches_dense(report, u):
     d = u.shape[0]
     target = spectrum_check_minus_one(u)[:, None]
@@ -229,6 +292,24 @@ def test_qudit_near_the_involution_tolerance_matches_dense(d, seed, defect):
     u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(d, seed), phases))
     assert np.max(np.abs(u @ u - np.eye(d))) <= INVOLUTION_ATOL
     assert_qudit_matches_dense(run_qudit_minus_one(u, shots=0), u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=st.floats(allow_nan=False, allow_infinity=False))
+@example(phi=-0.0)
+@example(phi=-5e-324)
+@example(phi=-1e-18)
+@example(phi=TWO_PI)
+@example(phi=-TWO_PI)
+@example(phi=3.0 * TWO_PI)
+@example(phi=1e300)
+@example(phi=-1e300)
+def test_wrap_phase_of_a_float_is_bitwise_the_array_rule(phi):
+    expected = struct.pack("<d", wrap_phase(np.array([phi]))[0])
+    for scalar in (phi, np.float64(phi)):
+        out = wrap_phase(scalar)
+        assert type(out) is float
+        assert struct.pack("<d", out) == expected
 
 
 @st.composite
@@ -569,6 +650,9 @@ reading_sets = st.integers(min_value=1, max_value=10).flatmap(
 @given(case=reading_sets)
 # "1,10" < "1,2" < "10,1" < "2,1": the comma sorts below every digit
 @example(case=(4, [1 * 16 + 10, 10 * 16 + 1, 1 * 16 + 2, 2 * 16 + 1, 0]))
+# fewer keys than texts, and every reading of an n = 3 pair
+@example(case=(10, [3 * 1024 + 700, 700 * 1024 + 3]))
+@example(case=(3, list(range(64))[::-1]))
 def test_double_pe_keys_are_built_in_key_order(case):
     n, readings = case
     keys, order = _reading_keys(np.array(readings, dtype=np.int64), n)

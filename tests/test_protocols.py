@@ -7,12 +7,13 @@ import pytest
 
 from qsinglet.linalg import (
     EigenSystem,
+    generate_gate,
     haar_random_unitary,
     phase_distance,
     unitary_from_eigensystem,
     wrap_phase,
 )
-from qsinglet.discrimination import idp_success_probability
+from qsinglet.discrimination import equatorial_state, idp_success_probability
 from qsinglet.protocols import (
     SpectrumError,
     eta_basis,
@@ -231,6 +232,35 @@ class TestQuartet:
 
 
 @pytest.mark.parametrize(
+    "run, phases",
+    [(protocol_pm1, [0.0, math.pi]), (protocol_square_trick, [0.0, math.pi / 2])],
+    ids=["pm1", "square-trick"],
+)
+def test_x_readouts_are_exactly_half_on_canonical_gates(run, phases):
+    """The closed form (1 +- cos)/2 reads controls at 0 and pi exactly: each
+    outcome has probability 0.5 and both wires hold exact eigenstates."""
+    for seed in range(20):
+        for order in (phases, phases[::-1]):
+            report = run(generate_gate(2, order, seed), shots=0)
+            assert report.exact_distribution == {"+x": 0.5, "-x": 0.5}
+            assert sum(report.exact_distribution.values()) == 1.0
+            assert [b.fidelities for b in report.branches.values()] == [(1.0, 1.0)] * 2
+
+
+@pytest.mark.parametrize("k1,k2", TestQuartet.PAIRS)
+def test_quartet_is_exact_on_canonical_gates(k1, k2):
+    labels = ["eta(1)", "eta(i)", "eta(-1)", "eta(-i)"]
+    expected = {label: 0.5 if k in (k1, k2) else 0.0 for k, label in enumerate(labels)}
+    for seed in range(10):
+        for order in ((k1, k2), (k2, k1)):
+            u = generate_gate(2, [k * math.pi / 2.0 for k in order], seed)
+            report = protocol_quartet(u, shots=0)
+            assert report.exact_distribution == expected
+            assert sum(report.exact_distribution.values()) == 1.0
+            assert [b.fidelities for b in report.branches.values()] == [(1.0, 1.0)] * 2
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda: protocol_pm1(gate_with_phases([0.0, math.pi], 0), shots=-5),
@@ -290,6 +320,22 @@ class TestTomography:
             tomography_baseline(u, 100, phase_grid_size=value)
         with pytest.raises(ValueError, match="shots_per_setting must be an integer"):
             tomography_baseline(u, value)
+
+    @pytest.mark.parametrize("grid", [3, 16, 64])
+    def test_counts_follow_one_draw_per_setting(self, grid):
+        """The counts of every setting come from one binomial call, the same
+        stream as one call per setting in setting order."""
+        u = gate_with_phases([0.3, 2.0], grid)
+        for seed in range(5):
+            est = tomography_baseline(u, 1000, seed=seed, phase_grid_size=grid)
+            rng = np.random.default_rng(seed)
+            zeros = rng.binomial(1000, abs(u[0, 0]) ** 2)
+            thetas = 2.0 * np.pi * np.arange(grid) / grid
+            hits = [rng.binomial(1000, abs(u[0] @ equatorial_state(t)) ** 2) for t in thetas]
+            design = np.column_stack([np.ones_like(thetas), np.cos(thetas), np.sin(thetas)])
+            _, alpha, beta = np.linalg.lstsq(design, np.array(hits) / 1000, rcond=None)[0]
+            assert (est.p00, est.p10) == (zeros / 1000, (1000 - zeros) / 1000)
+            assert est.relative_phase == wrap_phase(math.atan2(-beta, alpha))
 
     def test_accepts_numpy_integers(self):
         u = gate_with_phases([0.0, math.pi], 0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsinglet.linalg import haar_random_unitary
+from qsinglet.linalg import generate_gate, haar_random_unitary
 from qsinglet.protocols import SpectrumError
 from qsinglet.qudit import (
     MAX_QUDIT_DIM,
@@ -103,6 +103,21 @@ def test_located_wire_holds_the_eigenvector(d):
         assert branch.fidelity >= 1.0 - 1e-10
         seen_wires.add(branch.located_wire)
     assert seen_wires == set(range(d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_allowed_patterns_are_exactly_one_in_d(d):
+    """Each allowed pattern reads exactly 1/D, the located wire has fidelity
+    exactly 1.0, and the distribution sums to exactly 1.0."""
+    gates = [householder_reflection(random_direction(d, seed)) for seed in range(5)]
+    gates += [generate_gate(d, [np.pi if k == flip else 0.0 for k in range(d)], 11)
+              for flip in range(d)]
+    for u in gates:
+        report = run_qudit_minus_one(u, shots=0)
+        dist = report.exact_distribution
+        assert sorted(p for p in dist.values() if p) == [1.0 / d] * d
+        assert sum(dist.values()) == 1.0
+        assert [branch.fidelity for branch in report.branches.values()] == [1.0] * d
 
 
 def test_d2_reduces_to_the_qubit_protocol():
