@@ -20,8 +20,8 @@ import numpy as np
 
 from .linalg import TWO_PI, eigendecompose_2x2_unitary, phase_distance, require_int, wrap_phase
 from .protocols import SPECTRUM_ATOL, SpectrumError
-from .register import PROB_FLOOR, State, apply_controlled, apply_unitary, sample_counts, top_k
-from .singlet import singlet_network
+from .register import PROB_FLOOR, State, apply_unitary, sample_counts, top_k
+from .singlet import network_output_state
 
 MAX_REGISTER_QUBITS = 10
 PEAK_BOUND = 2.0 / math.pi
@@ -159,10 +159,7 @@ def double_pe_output_state(u: np.ndarray, n: int) -> State:
     if not 1 <= n <= MAX_REGISTER_QUBITS:
         raise ValueError(f"register size must be in 1..{MAX_REGISTER_QUBITS}, got {n}")
     ladder = [(half * n + k, half, 2 ** (n - 1 - k)) for k in range(n) for half in (0, 1)]
-    state, gates = singlet_network(u, ladder)
-    for gate in gates:
-        state = apply_controlled(state, gate)
-    state = inverse_qft(state, range(n))
+    state = inverse_qft(network_output_state(u, ladder), range(n))
     return inverse_qft(state, range(n, 2 * n))
 
 

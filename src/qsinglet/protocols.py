@@ -4,11 +4,11 @@ eigenstates on the output wires.
 Every protocol here shares one trick: feed half of a two-qubit singlet through
 a controlled power of the gate, then read the control side in a basis that
 tags which eigenstate landed on which wire. The exact branch analysis (Born
-probabilities, per-wire fidelities, eigenphase assignments) is always
-computed on the gate's eigenbasis, from closed-form cosine profiles over the
-arrangements of its eigenvectors on the singlet parties. :func:`readout` and
-the dense ``*_output_state`` networks are their test references; sampling
-only draws shots.
+probabilities, per-wire fidelities, eigenphase assignments) is computed from
+the gate's eigenphases alone, as closed-form phase-estimation profiles over
+the two arrangements of its eigenvectors on the singlet parties. The dense
+``*_output_state`` networks are the tests' reference for those forms;
+sampling only draws shots.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .linalg import (
     wrap_phase,
 )
 from .register import PROB_FLOOR, State, sample_counts, x_pattern_labels
-from .singlet import network_output_state, singlet_network, singlet_weights
+from .singlet import network_output_state, singlet_network
 
 SPECTRUM_ATOL = 1e-8
 
@@ -84,38 +84,15 @@ def labelled_report(wires, labels, probs, branches, seed, shots, wiring):
     )
 
 
-def readout(phases, wiring, rows, targets) -> tuple:
-    """Probabilities of the outcomes |row><row| of ``rows`` on the controls of
-    the singlet network ``wiring``, for a gate with eigenphases ``phases``, in
-    row order; and, keyed by index for each outcome m above PROB_FLOOR, the
-    fidelity of singlet party ``party`` with eigenvector ``k`` for each
-    ``(party, k)`` of ``targets[m]`` (see :func:`singlet.singlet_weights`).
-    """
-    perms, weights = singlet_weights(phases, wiring, rows)
-    probs = weights.mean(axis=1).tolist()
-    fidelities = {}
-    for m, p in enumerate(probs):
-        if p > PROB_FLOOR:
-            w = weights[m]
-            fidelities[m] = tuple(float(w[perms[:, party] == k].sum() / w.sum())
-                                  for party, k in targets[m])
-    return probs, fidelities
-
-
-def x_profile(thetas) -> list:
-    """Probabilities of the +-x patterns of control qubits left in
-    (|0> + exp(i thetas[c])|1>)/sqrt(2), in pattern order (+x as 0, first
-    control most significant): the product over controls of (1 +- cos)/2.
+def x_profile(theta: float) -> list:
+    """Probabilities of +x and -x for a control qubit left in
+    (|0> + exp(i theta)|1>)/sqrt(2): (1 + cos theta)/2 and (1 - cos theta)/2.
 
     Written with cos rather than cos^2 or sin^2 of half the angle because
     ``math.cos(math.pi)`` is exactly -1.0, so controls at 0 or pi read exactly.
     """
-    profile = [1.0]
-    for theta in thetas:
-        c = math.cos(theta)
-        plus, minus = (1.0 + c) / 2.0, (1.0 - c) / 2.0
-        profile = [w * f for w in profile for f in (plus, minus)]
-    return profile
+    c = math.cos(theta)
+    return [(1.0 + c) / 2.0, (1.0 - c) / 2.0]
 
 
 def _eigen_branches(phases, profile, labels, assignment) -> tuple:
@@ -126,10 +103,9 @@ def _eigen_branches(phases, profile, labels, assignment) -> tuple:
     The singlet holds the two eigenvectors in two arrangements: party 0 holds
     e_0 and party 1 e_1, or the reverse. ``profile(phase)`` lists every
     outcome's weight |<r_m|chi>|^2 when party 0 holds the eigenvector of
-    ``phase``. As in :func:`readout`, outcome m has probability the mean of its
-    two weights; it should leave the eigenvectors ``assignment[m]`` on parties
-    0 and 1, and both parties' fidelity is the share of the arrangement that
-    does.
+    ``phase``. Outcome m has probability the mean of its two weights; it
+    should leave the eigenvectors ``assignment[m]`` on parties 0 and 1, and
+    both parties' fidelity is the share of the arrangement that does.
     """
     weights = list(zip(*(profile(float(phase)) for phase in phases)))
     probs = [(w0 + w1) / 2.0 for w0, w1 in weights]
@@ -193,7 +169,7 @@ def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     labels = x_pattern_labels(1)
     assignment = {0: (first, second), 1: (second, first)}
     probs, branches = _eigen_branches(
-        phases, lambda phase: x_profile([power * phase]), labels, assignment
+        phases, lambda phase: x_profile(power * phase), labels, assignment
     )
     return labelled_report((1, 2), labels, probs, branches, seed, shots, control_wiring(powers))
 

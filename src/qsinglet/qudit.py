@@ -9,14 +9,13 @@ patterns are equally likely and the located wire holds the eigenstate exactly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import require_unitary
-from .protocols import ProtocolReport, SpectrumError, labelled_report, x_profile
-from .register import PROB_FLOOR, State, fix_phase, x_pattern_labels
+from .protocols import ProtocolReport, SpectrumError, labelled_report
+from .register import State, fix_phase, x_pattern_labels
 from .singlet import network_output_state
 
 MAX_QUDIT_DIM = 5
@@ -89,34 +88,33 @@ class QuditBranch:
 
 
 def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
-    """Locate the -1 eigenstate of a D-dimensional involution, D in 2..5.
+    """Locate the -1 eigenstate of a D-dimensional involution, D from 2 to
+    MAX_QUDIT_DIM.
 
-    Uses the gate D-1 times. Every allowed pattern occurs with probability
-    1/D, and the located wire's fidelity with the -1 eigenvector is read off
-    the eigenbasis analysis: the control patterns' closed-form +-x profile
-    for each party the -1 eigenvector can sit on.
+    Uses the gate D-1 times. The singlet has the same form on every
+    orthonormal completion of the -1 eigenvector, so each of the D parties
+    holds it with weight 1/D. Control k carries phase pi when party k holds
+    it and phase 0 otherwise, so the controls read a definite +-x pattern:
+    bit k of pattern m (most significant first) is set when control k read
+    -x, the one set bit names party k, and no set bit names the last party.
+    Each of those D patterns has probability exactly 1/D and leaves the
+    eigenvector on its party with fidelity 1; every other pattern has
+    probability 0.
     """
     u = require_unitary(u, what="gate")
     d = u.shape[0]
     if not 2 <= d <= MAX_QUDIT_DIM:
         raise ValueError(f"gate dimension must be in 2..{MAX_QUDIT_DIM}, got {d}")
     _check_minus_one_spectrum(u)
-    wiring = minus_one_wiring(d)
     labels = x_pattern_labels(d - 1)
-    # the singlet has the same form on every orthonormal completion of the -1
-    # vector, so only the party p it sits on matters: (D-1)! of the D!
-    # arrangements each, all alike, so each p has weight 1/D. Control k then
-    # carries phase pi when k == p and 0 otherwise (no control when p = D-1).
-    profiles = [x_profile([math.pi if k == p else 0.0 for k in range(d - 1)]) for p in range(d)]
-    # bit k of pattern m (most significant first) is set when control k read
-    # -x; the one set bit names party k, and none names the last party
-    located = [d - 1 - m.bit_length() for m in range(len(labels))]
+    share = 1.0 / d
     probs = []
     branches = {}
-    for m, weights in enumerate(zip(*profiles)):
-        total = sum(weights)
-        probs.append(total / d)
-        if probs[m] > PROB_FLOOR:
-            branches[labels[m]] = QuditBranch(probs[m], located[m], weights[located[m]] / total)
+    for m, label in enumerate(labels):
+        if m & (m - 1):
+            probs.append(0.0)
+        else:
+            probs.append(share)
+            branches[label] = QuditBranch(share, d - 1 - m.bit_length(), 1.0)
     wires = tuple(range(d - 1, 2 * d - 1))
-    return labelled_report(wires, labels, probs, branches, seed, shots, wiring)
+    return labelled_report(wires, labels, probs, branches, seed, shots, minus_one_wiring(d))

@@ -3,9 +3,10 @@
 The D-party singlet carries amplitude sign(p)/sqrt(D!) on every permutation
 basis state |p(0) p(1) ... p(D-1)> and zero elsewhere. Applying the same
 unitary V to every subsystem leaves it invariant up to the factor det(V), so
-it has that form on the gate's eigenbasis too. The protocols read their
-outcomes off that form in closed form; :func:`singlet_weights` evaluates it
-for any wiring and readout basis, as their test reference.
+it has that form on the gate's eigenbasis too, and the protocols read their
+outcomes off it in closed form. The dense network built here,
+:func:`network_output_state`, is the tests' reference for those forms; no
+run builds it.
 """
 
 from __future__ import annotations
@@ -63,34 +64,9 @@ def singlet_network(u: np.ndarray, wiring) -> tuple:
 
 
 def network_output_state(u: np.ndarray, wiring) -> State:
-    """The dense pre-measurement state of :func:`singlet_network`, the test
-    reference for :func:`singlet_weights`."""
+    """The dense pre-measurement state of :func:`singlet_network`."""
     state, gates = singlet_network(u, wiring)
     for gate in gates:
         state = apply_controlled(state, gate)
     return state
 
-
-def singlet_weights(phases, wiring, rows) -> tuple:
-    """``(perms, W)`` of :func:`singlet_network` for a gate with eigenphases
-    ``phases``, on its eigenbasis e_k.
-
-    There the singlet is sum_s sgn(s) |e_s(0) ... e_s(D-1)>/sqrt(D!), and a
-    wiring entry (control, party, power) multiplies that control's |1>
-    amplitude by exp(i power phases[s(party)]). So each permutation s, a row
-    of ``perms``, leaves the controls in a product state chi_s, and distinct s
-    are orthogonal on the parties. With ``W[m, s] = |<rows[m]|chi_s>|^2``
-    (control 0 most significant), reading row m has probability mean_s W[m, s]
-    and leaves party w in e_k with fidelity sum_{s(w)=k} W[m, s] / sum_s W[m, s].
-    """
-    phases = np.asarray(phases, dtype=float)
-    perms = np.array(list(itertools.permutations(range(phases.shape[0]))))
-    controls = 1 + max(control for control, _, _ in wiring)
-    # theta[s, c]: the phase control c carries on its |1> in permutation s
-    theta = np.zeros((perms.shape[0], controls))
-    for control, party, power in wiring:
-        theta[:, control] += power * phases[perms[:, party]]
-    bits = (np.arange(2 ** controls)[:, None] >> np.arange(controls - 1, -1, -1)) & 1
-    chi = np.exp(1j * (theta @ bits.T)) / math.sqrt(2 ** controls)
-    amps = np.conjugate(np.asarray(rows, dtype=complex)) @ chi.T
-    return perms, amps.real * amps.real + amps.imag * amps.imag

@@ -541,6 +541,33 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert any("eigenphase" in e for e in report["errors"])
 
+    @pytest.mark.parametrize(
+        "protocol, target, delta, status",
+        [
+            ("pm1", np.pi, 5e-9, 0),
+            ("square-trick", np.pi / 2, 5e-9, 0),
+            ("pm1", np.pi, 2e-8, 1),
+            ("square-trick", np.pi / 2, 2e-8, 1),
+            ("quartet", np.pi / 2, 2e-8, 1),
+        ],
+        ids=["pm1-runs", "square-trick-runs", "pm1-refused", "square-trick-refused",
+             "quartet-refused"],
+    )
+    def test_spectrum_tolerance_boundary(self, tmp_path, capsys, protocol, target, delta, status):
+        # SPECTRUM_ATOL is 1e-8: a phase 5e-9 off its target runs and reads
+        # exactly, one 2e-8 off is refused
+        gate = tmp_path / "gate.json"
+        save_unitary(gate, np.diag([1.0, np.exp(1j * (target + delta))]))
+        path = write_config(tmp_path, {"protocol": protocol, "gate": {"file": str(gate)}, "shots": 0})
+        assert run_cli(["run", "--config", path]) == status
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        if status:
+            assert any("eigenphase" in e for e in report["errors"])
+        else:
+            assert report["exact_distribution"] == {"+x": 0.5, "-x": 0.5}
+            assert report["fidelities"] == {"+x": [1.0, 1.0], "-x": [1.0, 1.0]}
+
     def test_spectrum_error_text_is_free_of_solver_noise(self, tmp_path, capsys):
         # the computed phases of these gates differ in their last bits
         texts = set()

@@ -45,7 +45,6 @@ from qsinglet.protocols import (
     protocol_quartet,
     protocol_square_trick,
     quartet_output_state,
-    readout,
 )
 from qsinglet.qudit import (
     INVOLUTION_ATOL,
@@ -310,38 +309,6 @@ def test_wrap_phase_of_a_float_is_bitwise_the_array_rule(phi):
         out = wrap_phase(scalar)
         assert type(out) is float
         assert struct.pack("<d", out) == expected
-
-
-@st.composite
-def networks(draw):
-    """(phases, wiring, rows): D = 2..4 eigenphases, one to three controls
-    each applying powers 1..3 to singlet parties, and a Haar readout basis."""
-    d = draw(st.integers(min_value=2, max_value=4))
-    controls = draw(st.integers(min_value=1, max_value=3))
-    entry = st.tuples(
-        st.integers(0, controls - 1), st.integers(0, d - 1), st.integers(1, 3)
-    )
-    wiring = draw(st.lists(entry, min_size=1, max_size=4))
-    wiring.append((controls - 1, draw(st.integers(0, d - 1)), draw(st.integers(1, 3))))
-    phases = draw(st.lists(angles, min_size=d, max_size=d))
-    rows = haar_random_unitary(2 ** controls, draw(seeds))
-    return phases, wiring, rows
-
-
-@PROPERTY
-@given(network=networks(), seed=seeds)
-def test_eigenbasis_readout_matches_dense_network(network, seed):
-    phases, wiring, rows = network
-    d = len(phases)
-    vectors = haar_random_unitary(d, seed)
-    u = unitary_from_eigensystem(EigenSystem(vectors, wrap_phase(np.array(phases))))
-    pairs = [(w, k) for w in range(d) for k in range(d)]
-    probs, fidelities = readout(phases, wiring, rows, [pairs] * len(rows))
-    dense_probs, dense_fids = dense_readout(network_output_state(u, wiring), rows, vectors)
-    assert np.max(np.abs(np.array(probs) - dense_probs)) <= P_ATOL
-    for m, fids in fidelities.items():
-        if dense_probs[m] > DENSE_P_MIN:
-            assert np.max(np.abs(np.array(fids) - np.array(dense_fids[m]).reshape(-1))) <= F_ATOL
 
 
 @st.composite
