@@ -69,8 +69,9 @@ class Protocol:
     """A protocol's parameters and its runner.
 
     ``run(gate, shots, seed, **params)`` returns the report body: the exact
-    outcome distribution (when the protocol has one), per-branch fidelities,
-    the gate use count, and a histogram when shots > 0.
+    outcome distribution (when the protocol has one; double-pe's is a
+    :class:`ReadingTable`), per-branch fidelities, the gate use count, and a
+    histogram when shots > 0.
     """
 
     params: tuple
@@ -110,33 +111,82 @@ def _text_ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def _reading_keys(readings: np.ndarray, n: int):
-    """The ``"za,zb"`` keys of distinct flat readings in string order, and that order.
+def _key_order(readings: np.ndarray, n: int) -> np.ndarray:
+    """The order that sorts distinct flat readings by their ``"za,zb"`` keys.
 
     "," sorts below every digit, so the keys sort as (rank[za], rank[zb]).
     """
     ranks = _text_ranks(n)
     z_a, z_b = np.divmod(readings, 2 ** n)
-    order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
-    z_a, z_b = z_a[order].tolist(), z_b[order].tolist()
-    if len(order) < 2 ** n:
-        # fewer keys than texts (every on-grid run keeps one or two): format
-        # only the readings present
-        return [f"{a},{b}" for a, b in zip(z_a, z_b)], order
-    # built per call: cached, the texts of every n run would stay resident
-    names = list(map(str, range(2 ** n)))
-    heads = [name + "," for name in names]
-    return [heads[a] + names[b] for a, b in zip(z_a, z_b)], order
+    return np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
+
+
+def _reading_keys(readings: np.ndarray, n: int):
+    """The ``"za,zb"`` keys of distinct flat readings in string order, and that order."""
+    order = _key_order(readings, n)
+    z_a, z_b = np.divmod(readings[order], 2 ** n)
+    return [f"{a},{b}" for a, b in zip(z_a.tolist(), z_b.tolist())], order
+
+
+@functools.cache
+def _key_parts(n: int) -> tuple:
+    """The ``"za,`` heads and ``zb": `` tails of n-qubit readings' JSON keys, as bytes."""
+    names = np.array([b"%d" % z for z in range(2 ** n)])
+    return np.char.add(np.char.add(b'"', names), b","), np.char.add(names, b'": ')
+
+
+@dataclass(frozen=True)
+class ReadingTable:
+    """Double-pe's exact distribution as arrays: flat readings ``za * 2^n + zb``
+    in ``"za,zb"`` key order, and their probabilities (positive and finite).
+
+    The CLI writes it straight from the arrays (:meth:`json_text`);
+    ``as_dict`` is the same distribution as the ``{"za,zb": p}`` dict that
+    :func:`run_experiment` returns.
+    """
+
+    n: int
+    readings: np.ndarray
+    probabilities: np.ndarray
+
+    @classmethod
+    def from_ranking(cls, n: int, ranked: np.ndarray, probabilities: np.ndarray):
+        """A ranking's readings and probabilities, put in key order and made read-only."""
+        order = _key_order(ranked, n)
+        readings, probabilities = ranked[order], probabilities[order]
+        readings.flags.writeable = probabilities.flags.writeable = False
+        return cls(n, readings, probabilities)
+
+    def as_dict(self) -> dict:
+        keys, order = _reading_keys(self.readings, self.n)
+        return dict(zip(keys, self.probabilities[order].tolist()))
+
+    def json_text(self, indent: str) -> str:
+        """Exactly ``report_json(self.as_dict(), indent)``, built with no key
+        string or dict: each distinct probability is formatted once, and the
+        lines are joined from cached byte tables."""
+        heads, tails = _key_parts(self.n)
+        z_a, z_b = np.divmod(self.readings, 2 ** self.n)
+        # positive values, so np.unique merges no -0.0 into 0.0
+        distinct, inverse = np.unique(self.probabilities, return_inverse=True)
+        texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype="S")
+        lines = np.char.add(np.char.add(heads[z_a], tails[z_b]), texts[inverse])
+        inner = indent + "  "
+        body = (",\n" + inner).encode().join(lines.tolist()).decode()
+        return "{\n" + inner + body + "\n" + indent + "}"
 
 
 def _double_pe(gate, shots, seed, n) -> dict:
+    """The double-pe body. Its ``exact_distribution`` is a :class:`ReadingTable`:
+    the CLI writes it from its key-ordered arrays, and :func:`run_experiment`
+    returns it as the plain ``{"za,zb": p}`` dict."""
     if gate.shape != (2, 2):
         raise ValueError("double-pe runs on 2x2 gates")
     report = run_double_pe(gate, n, shots=shots, seed=seed)
-    # built in key order, so the writer's sort is one linear pass
-    keys, order = _reading_keys(report.ranked, n)
     body = {
-        "exact_distribution": dict(zip(keys, report.ranked_probabilities[order].tolist())),
+        "exact_distribution": ReadingTable.from_ranking(
+            n, report.ranked, report.ranked_probabilities
+        ),
         "fidelities": {
             f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
         },
@@ -311,13 +361,13 @@ def report_json(value, indent: str = "") -> str:
     """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
 
     Objects with string keys, lists, strings, ints, finite floats, booleans
-    and None are written here, in one pass over the value. Sorting an
-    object's keys is one linear pass when it was built in key order, as
-    double-pe's ``exact_distribution`` is (its ranking lives in
-    ``PeReport.ranked``). What only ``json.dumps`` spells byte for byte (NaN
-    and the infinities, non-string keys, other types) is handed to it one
-    value at a time: JSON strings hold no raw newline, so re-indenting its
-    lines changes nothing else.
+    and None are written here, in one pass over the value. A
+    :class:`ReadingTable` (double-pe's ``exact_distribution`` on the CLI
+    path) is written from its key-ordered arrays, as its ``as_dict()`` would
+    be. What only ``json.dumps`` spells byte for byte (NaN and the
+    infinities, non-string keys, other types) is handed to it one value at a
+    time: JSON strings hold no raw newline, so re-indenting its lines changes
+    nothing else.
     """
     kind = type(value)
     if kind is dict:
@@ -325,10 +375,7 @@ def report_json(value, indent: str = "") -> str:
             return "{}"
         if set(map(type, value)) == {str}:
             keys = sorted(value)
-            if keys == list(value):
-                values = list(value.values())
-            else:
-                values = list(map(value.__getitem__, keys))
+            values = list(map(value.__getitem__, keys))
             inner = indent + "  "
             lines = map(": ".join, zip(map(encode_basestring_ascii, keys), _texts(values, inner)))
             return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + indent + "}"
@@ -348,6 +395,8 @@ def report_json(value, indent: str = "") -> str:
         return "true" if value else "false"
     elif value is None:
         return "null"
+    elif kind is ReadingTable:
+        return value.json_text(indent)
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
@@ -360,12 +409,9 @@ def _emit(report: dict, out_path) -> None:
             fh.write(text)
 
 
-def run_experiment(config: dict) -> dict:
-    """Validate a merged config, run its protocol, and return the report.
-
-    The report carries "meta" and "config" plus the protocol body (see
-    :class:`Protocol`).
-    """
+def _run(config: dict) -> dict:
+    """The report as the CLI writes it: double-pe's distribution stays a
+    :class:`ReadingTable`."""
     config = validate_config(config)
     gate = resolve_gate(config["gate"])
     body = PROTOCOLS[config["protocol"]].run(
@@ -374,9 +420,23 @@ def run_experiment(config: dict) -> dict:
     return {"meta": _meta(), "config": config, **body}
 
 
+def run_experiment(config: dict) -> dict:
+    """Validate a merged config, run its protocol, and return the report.
+
+    The report carries "meta" and "config" plus the protocol body (see
+    :class:`Protocol`), all plain JSON values: double-pe's distribution is
+    the ``{"za,zb": p}`` dict in key order. ``qsinglet run`` writes the same
+    report, but writes that distribution from its key-ordered arrays.
+    """
+    return {
+        key: value.as_dict() if type(value) is ReadingTable else value
+        for key, value in _run(config).items()
+    }
+
+
 def _cmd_run(args) -> int:
     try:
-        report, status = run_experiment(apply_overrides(load_config(args.config), args)), 0
+        report, status = _run(apply_overrides(load_config(args.config), args)), 0
     # RecursionError: JSON nested past the decoder's depth
     except (ValueError, TypeError, KeyError, OSError, MemoryError, RecursionError) as exc:
         report, status = {"meta": _meta(), "errors": [str(exc)]}, 1

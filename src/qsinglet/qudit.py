@@ -20,6 +20,11 @@ from .singlet import network_output_state
 
 MAX_QUDIT_DIM = 5
 INVOLUTION_ATOL = 1e-9
+# A count, not a tolerance: a gate within the unitarity (1e-10) and involution
+# (1e-9) bounds has eigenvalues s_k e^{i eps_k}, s_k = +-1, with
+# sqrt(sum eps_k^2) <= D * 5e-10, so its trace lies within about 6e-9 (D = 5)
+# of an integer of D's parity. A wrong count of -1 eigenvalues misses D - 2 by
+# at least 2 - 6e-9, and every bound between ~6e-9 and ~2 refuses the same gates.
 TRACE_ATOL = 1e-8
 
 
@@ -39,7 +44,11 @@ def householder_reflection(w) -> np.ndarray:
 
 def _check_minus_one_spectrum(u: np.ndarray) -> None:
     """SpectrumError unless the unitary u squares to the identity within 1e-9
-    and has trace D - 2 within 1e-8 (one -1 among D-1 ones)."""
+    and has trace D - 2 within 1e-8 (one -1 among D-1 ones).
+
+    Once u passes the involution check, the trace test only counts -1
+    eigenvalues: the trace sits within about 6e-9 of an integer of D's
+    parity, so no accepted gate lies near the 1e-8 bound (see TRACE_ATOL)."""
     d = u.shape[0]
     if np.max(np.abs(u @ u - np.eye(d))) > INVOLUTION_ATOL:
         raise SpectrumError("gate must square to the identity within 1e-9")

@@ -6,12 +6,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsinglet
 from qsinglet.cli import (
@@ -447,6 +451,73 @@ def test_report_writer_formats_every_report_shape_itself(tmp_path, config, monke
 
     monkeypatch.setattr("qsinglet.cli.json.dumps", refuse)
     assert report_json(report) == expected
+
+
+FIXED_META = {"tool": "qsinglet", "version": qsinglet.__version__,
+              "timestamp": "2000-01-01T00:00:00+00:00"}
+
+
+def assert_cli_writes_run_experiment_report(tmp_path, config):
+    """The file ``cli.main`` writes is ``json.dumps`` of ``run_experiment``'s
+    report byte for byte (meta pinned), and the CLI reaches neither
+    ``json.dumps`` nor the dict path's ``_reading_keys``."""
+    path = write_config(tmp_path, config)
+    out = tmp_path / "report.json"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI path fell back to json.dumps or _reading_keys")
+
+    with mock.patch.object(qsinglet.cli, "_meta", lambda: dict(FIXED_META)):
+        try:
+            report, status = run_experiment(dict(config)), 0
+        except ValueError as exc:
+            report, status = {"meta": dict(FIXED_META), "errors": [str(exc)]}, 1
+        with mock.patch.object(qsinglet.cli.json, "dumps", refuse), \
+                mock.patch.object(qsinglet.cli, "_reading_keys", refuse):
+            assert run_cli(["run", "--config", path, "--out", out]) == status
+    assert out.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("config", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
+def test_cli_writes_the_run_experiment_report(tmp_path, config):
+    assert_cli_writes_run_experiment_report(tmp_path, config)
+
+
+@st.composite
+def double_pe_configs(draw):
+    """Double-pe configs at n = 1..10: phases on the grid, off it, or one grid
+    step apart (from an on- or off-grid start), at shots 0, 1 or 1000."""
+    n = draw(st.integers(min_value=1, max_value=MAX_REGISTER_QUBITS))
+    step = 2 * np.pi / 2 ** n
+    kind = draw(st.sampled_from(["on", "off", "adjacent"]))
+    if kind == "on":
+        k1, k2 = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=2, max_size=2, unique=True))
+        phases = [k1 * step, k2 * step]
+    elif kind == "off":
+        theta = draw(st.floats(min_value=0.0, max_value=2 * np.pi, exclude_max=True))
+        gap = draw(st.floats(min_value=0.05, max_value=2 * np.pi - 0.05))
+        phases = [theta, (theta + gap) % (2 * np.pi)]
+    else:
+        start = draw(st.integers(0, 2 ** n - 1)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+        phases = [start * step, ((start + 1) * step) % (2 * np.pi)]
+    return {
+        "protocol": "double-pe",
+        "gate": {"dim": 2, "phases": phases, "seed": draw(st.integers(0, 2 ** 31 - 1))},
+        "shots": draw(st.sampled_from([0, 1, 1000])),
+        "seed": draw(st.integers(0, 2 ** 31 - 1)),
+        "params": {"n": n},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=double_pe_configs())
+# pinned: full 4096-entry maps at n = 10 (exact) and n = 8 (sampled), and n = 1
+@example(config=dict(OFF_GRID_DOUBLE_PE, params={"n": 10}))
+@example(config=dict(OFF_GRID_DOUBLE_PE, shots=1000))
+@example(config=dict(OFF_GRID_DOUBLE_PE, shots=1, params={"n": 1}))
+def test_cli_writes_the_run_experiment_report_for_double_pe(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_cli_writes_run_experiment_report(Path(tmp), config)
 
 
 def seeded_labelled_configs(count):
