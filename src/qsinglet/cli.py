@@ -102,37 +102,19 @@ def _tomography(gate, shots, seed, **params) -> dict:
 
 
 @functools.cache
-def _text_ranks(n: int) -> np.ndarray:
-    """Each n-qubit reading z's position among the sorted texts ``str(0..2^n - 1)``."""
-    ranks = np.empty(2 ** n, dtype=np.int64)
-    ranks[sorted(range(2 ** n), key=str)] = np.arange(2 ** n)
-    # cached and shared by every caller, so nothing may change it
-    ranks.flags.writeable = False
-    return ranks
-
-
-def _key_order(readings: np.ndarray, n: int) -> np.ndarray:
-    """The order that sorts distinct flat readings by their ``"za,zb"`` keys.
-
-    "," sorts below every digit, so the keys sort as (rank[za], rank[zb]).
-    """
-    ranks = _text_ranks(n)
-    z_a, z_b = np.divmod(readings, 2 ** n)
-    return np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
-
-
-def _reading_keys(readings: np.ndarray, n: int):
-    """The ``"za,zb"`` keys of distinct flat readings in string order, and that order."""
-    order = _key_order(readings, n)
-    z_a, z_b = np.divmod(readings[order], 2 ** n)
-    return [f"{a},{b}" for a, b in zip(z_a.tolist(), z_b.tolist())], order
-
-
-@functools.cache
-def _key_parts(n: int) -> tuple:
-    """The ``"za,`` heads and ``zb": `` tails of n-qubit readings' JSON keys, as bytes."""
+def _reading_names(n: int) -> tuple:
+    """Byte tables over the n-qubit readings z: each z's position among the
+    sorted texts ``str(0..2^n - 1)``, and the ``"za,`` heads and ``zb": ``
+    tails of the JSON keys ``"za,zb"``."""
     names = np.array([b"%d" % z for z in range(2 ** n)])
-    return np.char.add(np.char.add(b'"', names), b","), np.char.add(names, b'": ')
+    ranks = np.empty(2 ** n, dtype=np.int64)
+    # distinct ASCII digit strings, so their byte order is their text order
+    ranks[np.argsort(names)] = np.arange(2 ** n)
+    tables = ranks, np.char.add(np.char.add(b'"', names), b","), np.char.add(names, b'": ')
+    # cached and shared by every caller, so nothing may change them
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -142,7 +124,8 @@ class ReadingTable:
 
     The CLI writes it straight from the arrays (:meth:`json_text`);
     ``as_dict`` is the same distribution as the ``{"za,zb": p}`` dict that
-    :func:`run_experiment` returns.
+    :func:`run_experiment` returns. Both take the readings in their stored
+    order.
     """
 
     n: int
@@ -151,21 +134,26 @@ class ReadingTable:
 
     @classmethod
     def from_ranking(cls, n: int, ranked: np.ndarray, probabilities: np.ndarray):
-        """A ranking's readings and probabilities, put in key order and made read-only."""
-        order = _key_order(ranked, n)
+        """A ranking's distinct readings and probabilities, put in key order and
+        made read-only. "," sorts below every digit, so the keys sort as
+        (rank[za], rank[zb])."""
+        ranks = _reading_names(n)[0]
+        z_a, z_b = np.divmod(ranked, 2 ** n)
+        order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
         readings, probabilities = ranked[order], probabilities[order]
         readings.flags.writeable = probabilities.flags.writeable = False
         return cls(n, readings, probabilities)
 
     def as_dict(self) -> dict:
-        keys, order = _reading_keys(self.readings, self.n)
-        return dict(zip(keys, self.probabilities[order].tolist()))
+        z_a, z_b = np.divmod(self.readings, 2 ** self.n)
+        pairs = zip(z_a.tolist(), z_b.tolist(), self.probabilities.tolist())
+        return {f"{a},{b}": p for a, b, p in pairs}
 
     def json_text(self, indent: str) -> str:
         """Exactly ``report_json(self.as_dict(), indent)``, built with no key
         string or dict: each distinct probability is formatted once, and the
         lines are joined from cached byte tables."""
-        heads, tails = _key_parts(self.n)
+        _, heads, tails = _reading_names(self.n)
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
         # positive values, so np.unique merges no -0.0 into 0.0
         distinct, inverse = np.unique(self.probabilities, return_inverse=True)
@@ -327,32 +315,17 @@ def resolve_gate(source) -> np.ndarray:
     )
 
 
-# below this many floats a list is formatted directly: the memo's set and dict
-# cost more than the repeats they save
-FLOAT_MEMO_MIN = 16
-
-
 def _texts(values: list, indent: str) -> list:
     """The JSON text of each value, nested at ``indent``.
 
-    One type check covers a list of floats or of ints; each distinct float of
-    a long one is formatted once. Any other list goes value by value.
+    One type check covers a list of floats or of ints, each value formatted
+    by its type's repr. Any other list goes value by value.
     """
     kinds = set(map(type, values))
-    if kinds == {float}:
-        if len(values) < FLOAT_MEMO_MIN:
-            # the sum is finite unless a value is NaN or infinite (or it overflows)
-            if math.isfinite(sum(values)):
-                return list(map(float.__repr__, values))
-        else:
-            distinct = set(values)
-            if math.isfinite(sum(distinct)):
-                memo = dict(zip(distinct, map(float.__repr__, distinct)))
-                if 0.0 in memo:
-                    # 0.0 == -0.0 but their texts differ, so zeros skip the memo
-                    return [memo[v] if v else float.__repr__(v) for v in values]
-                return list(map(memo.__getitem__, values))
-    elif kinds == {int}:
+    # the sum is finite unless a value is NaN or infinite (or it overflows)
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
         return list(map(int.__repr__, values))
     return [report_json(v, indent) for v in values]
 
@@ -363,11 +336,11 @@ def report_json(value, indent: str = "") -> str:
     Objects with string keys, lists, strings, ints, finite floats, booleans
     and None are written here, in one pass over the value. A
     :class:`ReadingTable` (double-pe's ``exact_distribution`` on the CLI
-    path) is written from its key-ordered arrays, as its ``as_dict()`` would
-    be. What only ``json.dumps`` spells byte for byte (NaN and the
-    infinities, non-string keys, other types) is handed to it one value at a
-    time: JSON strings hold no raw newline, so re-indenting its lines changes
-    nothing else.
+    path) is written from its key-ordered arrays, each distinct probability
+    formatted once, as its ``as_dict()`` would be. What only ``json.dumps``
+    spells byte for byte (NaN and the infinities, non-string keys, other
+    types) is handed to it one value at a time: JSON strings hold no raw
+    newline, so re-indenting its lines changes nothing else.
     """
     kind = type(value)
     if kind is dict:

@@ -415,10 +415,15 @@ OFF_GRID_DOUBLE_PE = {
 }
 
 
-# one report of each shape: every protocol, an exact and two sampled off-grid
-# double-pe runs, and a refused config's errors report
+# one report of each shape: every protocol, the d = 5 locator's 16-float map
+# (11 of them 0.0), an exact and two sampled off-grid double-pe runs, and a
+# refused config's errors report
 REPORT_SHAPES = {
     **PROTOCOL_CONFIGS,
+    "qudit-minus-one-d5": dict(
+        PROTOCOL_CONFIGS["qudit-minus-one"],
+        gate={"dim": 5, "phases": [0.0, 0.0, 0.0, 0.0, np.pi], "seed": 2}, params={"d": 5},
+    ),
     "double-pe-off-grid": OFF_GRID_DOUBLE_PE,
     "double-pe-off-grid-shots": dict(OFF_GRID_DOUBLE_PE, shots=1000),
     "double-pe-n4-shots": dict(OFF_GRID_DOUBLE_PE, shots=300, params={"n": 4}),
@@ -460,12 +465,12 @@ FIXED_META = {"tool": "qsinglet", "version": qsinglet.__version__,
 def assert_cli_writes_run_experiment_report(tmp_path, config):
     """The file ``cli.main`` writes is ``json.dumps`` of ``run_experiment``'s
     report byte for byte (meta pinned), and the CLI reaches neither
-    ``json.dumps`` nor the dict path's ``_reading_keys``."""
+    ``json.dumps`` nor the dict path's ``ReadingTable.as_dict``."""
     path = write_config(tmp_path, config)
     out = tmp_path / "report.json"
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI path fell back to json.dumps or _reading_keys")
+        raise AssertionError("the CLI path fell back to json.dumps or ReadingTable.as_dict")
 
     with mock.patch.object(qsinglet.cli, "_meta", lambda: dict(FIXED_META)):
         try:
@@ -473,7 +478,7 @@ def assert_cli_writes_run_experiment_report(tmp_path, config):
         except ValueError as exc:
             report, status = {"meta": dict(FIXED_META), "errors": [str(exc)]}, 1
         with mock.patch.object(qsinglet.cli.json, "dumps", refuse), \
-                mock.patch.object(qsinglet.cli, "_reading_keys", refuse):
+                mock.patch.object(qsinglet.cli.ReadingTable, "as_dict", refuse):
             assert run_cli(["run", "--config", path, "--out", out]) == status
     assert out.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2) + "\n"
 

@@ -24,7 +24,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsinglet.cli import MAX_SHOTS, _reading_keys, main, report_json
+from qsinglet.cli import MAX_SHOTS, ReadingTable, main, report_json
 from qsinglet.discrimination import build_idp_povm, equatorial_state
 from qsinglet.linalg import (
     MAX_SEED,
@@ -567,8 +567,8 @@ def test_refused_config_gives_errors_report(config):
     with tempfile.TemporaryDirectory() as tmp:
         status, text = run_config(config, Path(tmp), "c")
     report = json.loads(text)
-    assert status == 1
-    assert set(report) == {"meta", "errors"}
+    assert status == 1, (config, text)
+    assert set(report) == {"meta", "errors"}, (config, text)
     jsonschema.validate(report, SCHEMA)
 
 
@@ -622,6 +622,12 @@ reading_sets = st.integers(min_value=1, max_value=10).flatmap(
 @example(case=(3, list(range(64))[::-1]))
 def test_double_pe_keys_are_built_in_key_order(case):
     n, readings = case
-    keys, order = _reading_keys(np.array(readings, dtype=np.int64), n)
-    assert keys == sorted(keys)
-    assert keys == [f"{readings[i] // 2 ** n},{readings[i] % 2 ** n}" for i in order.tolist()]
+    # a distinct probability per reading, so a key on the wrong value shows
+    probabilities = [(i + 1) / (len(readings) + 1) for i in range(len(readings))]
+    table = ReadingTable.from_ranking(
+        n, np.array(readings, dtype=np.int64), np.array(probabilities)
+    ).as_dict()
+    assert list(table) == sorted(table)
+    assert table == {
+        f"{z // 2 ** n},{z % 2 ** n}": p for z, p in zip(readings, probabilities)
+    }

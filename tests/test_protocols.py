@@ -16,6 +16,7 @@ from qsinglet.linalg import (
 from qsinglet.discrimination import equatorial_state, idp_success_probability
 from qsinglet.protocols import (
     SpectrumError,
+    _eigen_branches,
     eta_basis,
     pm1_output_state,
     protocol_known_phases,
@@ -26,7 +27,13 @@ from qsinglet.protocols import (
     tomography_baseline,
 )
 from qsinglet.qudit import householder_reflection, run_qudit_minus_one
-from qsinglet.register import collapse, extract_subsystem, fidelity, x_pattern_basis
+from qsinglet.register import (
+    PROB_FLOOR,
+    collapse,
+    extract_subsystem,
+    fidelity,
+    x_pattern_basis,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -273,6 +280,15 @@ def test_quartet_is_exact_on_canonical_gates(k1, k2):
 def test_negative_shots_are_refused(run):
     with pytest.raises(ValueError, match="shots must be nonnegative"):
         run()
+
+
+def test_outcome_at_the_floor_gets_no_branch():
+    # both phases weigh outcome "a" at exactly PROB_FLOOR, so its mean is the floor
+    probs, branches = _eigen_branches(
+        (0.0, 1.0), lambda phase: [PROB_FLOOR, 1.0 - PROB_FLOOR], ["a", "b"], [(0, 1), (1, 0)]
+    )
+    assert probs[0] == PROB_FLOOR
+    assert set(branches) == {"b"}
 
 
 class TestTomography:

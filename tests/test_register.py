@@ -22,6 +22,7 @@ from qsinglet.register import (
     digits_to_index,
     extract_subsystem,
     fidelity,
+    fix_phase,
     minus_x,
     outcome_distribution,
     plus_x,
@@ -314,3 +315,11 @@ def test_fidelity_bounds_and_mismatch():
     assert fidelity(b, c) == 0.0
     with pytest.raises(ValueError):
         fidelity(a, random_state((3,), 2))
+
+
+def test_fix_phase_rotates_by_the_first_amplitude_above_its_tolerance():
+    # entry 0 is small (1e-6) but far above PHASE_FIX_ATOL, so it sets the phase
+    vec = np.array([1e-6 * np.exp(0.7j), math.sqrt(1.0 - 1e-12) * np.exp(2.1j)])
+    fixed = fix_phase(vec)
+    assert fixed[0].real > 0.0
+    assert abs(fixed[0].imag) <= 1e-20
