@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .linalg import MAX_SEED, generate_gate, load_unitary, require_int, require_number
+from .linalg import MAX_SEED, generate_gate, load_unitary, require_int, require_number, save_unitary
 from .phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
 from .protocols import (
     protocol_known_phases,
@@ -168,8 +168,6 @@ def _double_pe(gate, shots, seed, n) -> dict:
     """The double-pe body. Its ``exact_distribution`` is a :class:`ReadingTable`:
     the CLI writes it from its key-ordered arrays, and :func:`run_experiment`
     returns it as the plain ``{"za,zb": p}`` dict."""
-    if gate.shape != (2, 2):
-        raise ValueError("double-pe runs on 2x2 gates")
     report = run_double_pe(gate, n, shots=shots, seed=seed)
     body = {
         "exact_distribution": ReadingTable.from_ranking(
@@ -424,9 +422,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen_gate(args) -> int:
     try:
-        # no protocol runs a larger gate; refuse it before allocating one
-        require_int(args.dim, "dim", minimum=2, maximum=MAX_QUDIT_DIM)
-        generate_gate(args.dim, args.phases, args.seed, out=args.out)
+        source = {"dim": args.dim, "phases": args.phases, "seed": args.seed}
+        save_unitary(args.out, resolve_gate(source))
     except (ValueError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

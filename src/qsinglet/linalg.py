@@ -131,8 +131,7 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     the R diagonal's phases are absorbed so the distribution is exactly Haar
     rather than QR-convention biased.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    dim = require_int(dim, "dim", minimum=1)
     # one draw for both parts: the real part's numbers come first, as two
     # separate calls would draw them
     re, im = np.random.default_rng(seed).standard_normal((2, dim, dim))
@@ -142,11 +141,11 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
+def generate_gate(dim: int, phases, seed: int) -> np.ndarray:
     """Build a gate with the given eigenphases on a seeded random eigenbasis.
 
-    The same (dim, phases, seed) always produce the same matrix; with out set
-    the matrix JSON written there is byte-identical across calls.
+    The same (dim, phases, seed) always produce the same matrix, so
+    ``save_unitary(path, generate_gate(...))`` writes byte-identical files.
     """
     dim = require_int(dim, "dim", minimum=2)
     seed = require_int(seed, "seed", minimum=0, maximum=MAX_SEED - 1)
@@ -156,10 +155,7 @@ def generate_gate(dim: int, phases, seed: int, out=None) -> np.ndarray:
     basis = haar_random_unitary(dim, seed)
     # unitary_from_eigensystem's product; QR already made the basis unitary,
     # so it is not wrapped in an EigenSystem to be checked again
-    gate = (basis * np.exp(1j * wrap_phase(np.array(phases)))) @ dagger(basis)
-    if out is not None:
-        save_unitary(out, gate)
-    return gate
+    return (basis * np.exp(1j * wrap_phase(np.array(phases)))) @ dagger(basis)
 
 
 DEGENERACY_ATOL = 1e-12

@@ -51,9 +51,7 @@ class GridDecomposition:
 
 def nearest_grid(phi: float, n: int) -> GridDecomposition:
     """Decompose an angle into nearest grid point and offset at resolution n."""
-    n = require_int(n, "register size")
-    if not 1 <= n <= MAX_REGISTER_QUBITS:
-        raise ValueError(f"register size must be in 1..{MAX_REGISTER_QUBITS}, got {n}")
+    n = require_int(n, "register size", minimum=1, maximum=MAX_REGISTER_QUBITS)
     x = wrap_phase(float(phi)) / TWO_PI
     size = 2 ** n
     # size is a power of two, so scaling by it is exact and ties stay exact
@@ -155,9 +153,7 @@ def double_pe_output_state(u: np.ndarray, n: int) -> State:
     digit of the reading) and qubits n..2n-1 for half B; counting qubit k of
     each register applies the gate to the power 2^(n-1-k), A before B.
     """
-    n = int(n)
-    if not 1 <= n <= MAX_REGISTER_QUBITS:
-        raise ValueError(f"register size must be in 1..{MAX_REGISTER_QUBITS}, got {n}")
+    n = require_int(n, "register size", minimum=1, maximum=MAX_REGISTER_QUBITS)
     ladder = [(half * n + k, half, 2 ** (n - 1 - k)) for k in range(n) for half in (0, 1)]
     state = inverse_qft(network_output_state(u, ladder), range(n))
     return inverse_qft(state, range(n, 2 * n))
@@ -267,9 +263,7 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     eigenvector matching its reading.
     """
     n = require_int(n, "register size")
-    shots = require_int(shots, "shots")
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    shots = require_int(shots, "shots", minimum=0)
     phases = eigendecompose_2x2_unitary(u)
     if phase_distance(float(phases[0]), float(phases[1])) <= SPECTRUM_ATOL:
         raise SpectrumError("eigenphases must be distinct")

@@ -64,9 +64,7 @@ class ProtocolReport:
 def labelled_report(wires, labels, probs, branches, seed, shots, wiring):
     """ProtocolReport over labelled outcomes, with ``shots`` seeded draws, of
     a network that uses the gate as often as ``wiring``'s powers add up to."""
-    shots = require_int(shots, "shots")
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
+    shots = require_int(shots, "shots", minimum=0)
     histogram = {}
     outcome = None
     if shots > 0:
@@ -273,21 +271,15 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
 
     Three controlled uses imprint z^1 and z^2 phase ladders on two control
     qubits; reading them in the eta basis names one eigenvalue exactly. Wire 2
-    carries the named eigenvalue's eigenstate, wire 3 the other one.
+    carries the named eigenvalue's eigenstate, wire 3 the other one. Each
+    eigenphase must lie within ``SPECTRUM_ATOL`` of its own multiple of pi/2.
     """
     phases = eigendecompose_2x2_unitary(u)
     quarter = math.pi / 2.0
-    ks = []
-    for phase in phases:
-        k = int(round(float(phase) / quarter)) % 4
-        if phase_distance(float(phase), k * quarter) > SPECTRUM_ATOL:
-            raise SpectrumError(
-                f"gate eigenphase {float(phase):.9f} is not a multiple of pi/2 within "
-                f"{SPECTRUM_ATOL:g}"
-            )
-        ks.append(k)
+    ks = [round(float(phase) / quarter) % 4 for phase in phases]
     if ks[0] == ks[1]:
         raise SpectrumError("gate eigenvalues must be distinct fourth roots of unity")
+    _match_phases(phases, [k * quarter for k in ks])
 
     labels = list(ETA_LABELS)
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
@@ -317,17 +309,13 @@ def tomography_baseline(
     setting two scans equatorial inputs over ``phase_grid_size`` angles and
     fits the cosine fringe of the target's |0> probability by linear least
     squares. Every shot costs one gate use, which is the point of the
-    comparison.
+    comparison. It needs shots_per_setting >= 1 and phase_grid_size >= 3.
     """
     u = require_unitary(u, what="gate")
     if u.shape != (2, 2):
         raise ValueError("the baseline is defined for 2x2 gates")
-    shots_per_setting = require_int(shots_per_setting, "shots_per_setting")
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be at least 1")
-    phase_grid_size = require_int(phase_grid_size, "phase_grid_size")
-    if phase_grid_size < 3:
-        raise ValueError("need at least 3 phase points to fit the fringe")
+    shots_per_setting = require_int(shots_per_setting, "shots_per_setting", minimum=1)
+    phase_grid_size = require_int(phase_grid_size, "phase_grid_size", minimum=3)
     # a controlled use on |1>|target> leaves |0> on the target with
     # probability |<0|u|target>|^2; the targets are |0>, then the grid's
     # equatorial states

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import require_int, require_unitary
 from .protocols import ProtocolReport, SpectrumError, labelled_report
 from .register import State, fix_phase, x_pattern_labels
 from .singlet import network_output_state
@@ -111,9 +111,7 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
     probability 0.
     """
     u = require_unitary(u, what="gate")
-    d = u.shape[0]
-    if not 2 <= d <= MAX_QUDIT_DIM:
-        raise ValueError(f"gate dimension must be in 2..{MAX_QUDIT_DIM}, got {d}")
+    d = require_int(u.shape[0], "gate dimension", minimum=2, maximum=MAX_QUDIT_DIM)
     _check_minus_one_spectrum(u)
     labels = x_pattern_labels(d - 1)
     share = 1.0 / d

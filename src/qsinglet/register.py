@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_unitary
+from .linalg import require_int, require_unitary
 
 NORM_ATOL = 1e-10
 PHASE_FIX_ATOL = 1e-9
@@ -150,9 +150,7 @@ class ControlledGate:
     power: int = 1
 
     def __post_init__(self):
-        if int(self.power) < 1:
-            raise ValueError("power must be a positive integer")
-        object.__setattr__(self, "power", int(self.power))
+        object.__setattr__(self, "power", require_int(self.power, "power", minimum=1))
 
 
 def controlled_matrix(unitary: np.ndarray, power: int = 1) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .linalg import require_int
 from .register import (
     ControlledGate, State, apply_controlled, digits_to_index, plus_x, product_state,
 )
@@ -38,8 +39,7 @@ def permutation_parity(perm) -> int:
 
 def make_singlet(d: int) -> State:
     """The D-party singlet on a register of D subsystems of dimension D."""
-    if d < 2:
-        raise ValueError("the singlet needs at least 2 subsystems")
+    d = require_int(d, "d", minimum=2)
     dims = (d,) * d
     amps = np.zeros(d ** d, dtype=complex)
     scale = 1.0 / math.sqrt(math.factorial(d))

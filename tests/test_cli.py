@@ -116,8 +116,8 @@ class TestConfigHandling:
 class TestGateSources:
     def test_generate_gate_deterministic_bytes(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        generate_gate(2, [0.0, np.pi], 5, out=out1)
-        generate_gate(2, [0.0, np.pi], 5, out=out2)
+        save_unitary(out1, generate_gate(2, [0.0, np.pi], 5))
+        save_unitary(out2, generate_gate(2, [0.0, np.pi], 5))
         assert out1.read_bytes() == out2.read_bytes()
         u = load_unitary(out1)
         vals = np.sort_complex(np.linalg.eigvals(u))
@@ -133,7 +133,8 @@ class TestGateSources:
 
     def test_resolve_gate_from_file(self, tmp_path):
         path = tmp_path / "gate.json"
-        u = generate_gate(2, [0.0, np.pi], 7, out=path)
+        u = generate_gate(2, [0.0, np.pi], 7)
+        save_unitary(path, u)
         np.testing.assert_allclose(resolve_gate({"file": str(path)}), u)
 
     def test_resolve_gate_from_generator_source(self):
@@ -644,6 +645,39 @@ class TestMain:
             assert report["exact_distribution"] == {"+x": 0.5, "-x": 0.5}
             assert report["fidelities"] == {"+x": [1.0, 1.0], "-x": [1.0, 1.0]}
 
+    @pytest.mark.parametrize(
+        "protocol, defect, status",
+        [
+            ("pm1", 5e-11, 0),
+            ("pm1", 2e-10, 1),
+            ("qudit-minus-one", 5e-10, 0),
+            ("qudit-minus-one", 2e-9, 1),
+        ],
+        ids=["unitary-half", "unitary-twice", "involution-half", "involution-twice"],
+    )
+    def test_gate_tolerance_boundary(self, tmp_path, capsys, protocol, defect, status):
+        # UNITARY_ATOL is 1e-10 and INVOLUTION_ATOL 1e-9: a file gate whose
+        # unitarity defect (pm1) or involution defect (qudit) is half its
+        # tolerance runs, one at twice it is refused
+        if protocol == "pm1":
+            # column 0 scaled by 1 + eps puts 2 eps + eps^2 on [0, 0] of u^dagger u - I
+            u = generate_gate(2, [0.0, np.pi], 7)
+            u[:, 0] *= 1.0 + defect / 2.0
+            params, refusal = {}, "matrix JSON content is not unitary within 1e-10"
+        else:
+            # u^2 - I is e^{2i eps} - 1 on [2, 2], of modulus 2 sin eps
+            u = np.diag([1.0, 1.0, -np.exp(1j * math.asin(defect / 2.0))])
+            params, refusal = {"d": 3}, "gate must square to the identity within 1e-9"
+        # written by hand: save_unitary refuses a gate that is not unitary
+        entries = [[z.real, z.imag] for z in u.reshape(-1).tolist()]
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({"dim": len(u), "entries": entries}))
+        config = {"protocol": protocol, "gate": {"file": str(gate)}, "shots": 0, "params": params}
+        assert run_cli(["run", "--config", write_config(tmp_path, config)]) == status
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report.get("errors") == ([refusal] if status else None)
+
     def test_spectrum_error_text_is_free_of_solver_noise(self, tmp_path, capsys):
         # the computed phases of these gates differ in their last bits
         texts = set()
@@ -722,7 +756,7 @@ class TestMain:
         assert report["errors"] == [f"dim must be at most {MAX_QUDIT_DIM}, got 6"]
 
     def test_gen_gate_reports_allocation_failure(self, tmp_path, capsys, monkeypatch):
-        def exhausted(dim, phases, seed, out=None):
+        def exhausted(dim, phases, seed):
             raise MemoryError("cannot allocate the gate")
 
         monkeypatch.setattr("qsinglet.cli.generate_gate", exhausted)

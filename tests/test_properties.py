@@ -511,10 +511,10 @@ def refused_configs(draw):
         config["protocol"], params = PARAM_HOMES[key]
         config["params"] = dict(params, **{key: value})
     elif kind == "unknown-param":
-        foreign = sorted(set(PARAM_HOMES) - set(config["params"]) | {"unknown"})
-        config["params"] = dict(config["params"], **{draw(st.sampled_from(foreign)): 3})
-        if config["protocol"] == "tomography" and "phase_grid_size" not in config["params"]:
-            config["params"]["unknown"] = 1
+        # each parameter belongs to its home protocol alone
+        foreign = [key for key, (home, _) in PARAM_HOMES.items() if home != config["protocol"]]
+        key = draw(st.sampled_from(foreign + ["unknown"]))
+        config["params"] = dict(config["params"], **{key: 3})
     elif kind == "missing-param":
         config["protocol"] = draw(st.sampled_from(["known-phases", "double-pe", "qudit-minus-one"]))
         config["params"] = {}
@@ -550,6 +550,7 @@ def refused_configs(draw):
 
 TOMOGRAPHY = {"protocol": "tomography", "gate": generated_gate(2, [0.0, math.pi], 1),
               "shots": 10, "seed": 0, "params": {}}
+THREE_BY_THREE = generated_gate(3, [0.0, math.pi, 0.0], 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -563,6 +564,12 @@ TOMOGRAPHY = {"protocol": "tomography", "gate": generated_gate(2, [0.0, math.pi]
 @example(config=dict(TOMOGRAPHY, protocol="known-phases",
                      params={"theta1": 10 ** 400, "theta2": 1.0}))
 @example(config=dict(TOMOGRAPHY, protocol="double-pe", params={"n": HUGE}))
+@example(config=dict(TOMOGRAPHY, shots=0))
+@example(config=dict(TOMOGRAPHY, protocol="pm1", gate=THREE_BY_THREE))
+@example(config=dict(TOMOGRAPHY, protocol="double-pe", gate=THREE_BY_THREE, params={"n": 3}))
+# more than DEGENERACY_ATOL apart, both within SPECTRUM_ATOL of i: not distinct roots
+@example(config=dict(TOMOGRAPHY, protocol="quartet",
+                     gate={"dim": 2, "phases": [math.pi / 2, math.pi / 2 + 1e-10], "seed": 1}))
 def test_refused_config_gives_errors_report(config):
     with tempfile.TemporaryDirectory() as tmp:
         status, text = run_config(config, Path(tmp), "c")

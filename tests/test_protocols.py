@@ -278,7 +278,7 @@ def test_quartet_is_exact_on_canonical_gates(k1, k2):
     ids=["pm1", "square-trick", "quartet", "known-phases"],
 )
 def test_negative_shots_are_refused(run):
-    with pytest.raises(ValueError, match="shots must be nonnegative"):
+    with pytest.raises(ValueError, match="shots must be at least 0"):
         run()
 
 
