@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .linalg import MAX_SEED, generate_gate, load_unitary, require_int, require_number, save_unitary
 from .phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
+# _labelled calls protocol_* and run_qudit_minus_one by name, through these bindings
 from .protocols import (
     protocol_known_phases,
     protocol_pm1,
@@ -68,37 +69,42 @@ class Param:
 class Protocol:
     """A protocol's parameters and its runner.
 
-    ``run(gate, shots, seed, **params)`` returns the report body: the exact
-    outcome distribution (when the protocol has one; double-pe's is a
-    :class:`ReadingTable`), per-branch fidelities, the gate use count, and a
-    histogram when shots > 0.
+    ``run(gate, shots, seed, **params)`` returns the report body that
+    :func:`_body` assembles, the one shape every protocol writes.
     """
 
     params: tuple
     run: Callable[..., dict]
 
 
-def _labelled_body(report) -> dict:
-    body = {
-        "exact_distribution": report.exact_distribution,
-        "fidelities": {
-            label: (list(branch.fidelities) if branch.fidelities is not None else None)
-            for label, branch in report.branches.items()
-        },
-        "gate_uses": report.gate_uses,
-    }
-    if report.shots_used > 0:
-        body["histogram"] = report.histogram
+def _body(fidelities: dict, gate_uses: int, shots: int = 0, histogram=None, **outcome) -> dict:
+    """A report body: ``outcome`` (the exact distribution, or tomography's
+    estimate), the fidelities of each analysed branch's output wires, the
+    gate use count, and the histogram of ``shots`` sampled readouts when
+    there are any (tomography's counts per setting are not readouts)."""
+    body = {**outcome, "fidelities": fidelities, "gate_uses": gate_uses}
+    if shots > 0:
+        body["histogram"] = histogram
     return body
+
+
+def _labelled(runner: str, gate, shots, seed, **params) -> dict:
+    """The body of a labelled protocol: calls the library runner bound to the
+    name ``runner`` in this module, looked up at call time."""
+    report = globals()[runner](gate, seed=seed, shots=shots, **params)
+    fidelities = {
+        label: (list(branch.fidelities) if branch.fidelities is not None else None)
+        for label, branch in report.branches.items()
+    }
+    return _body(fidelities, report.gate_uses, shots, report.histogram,
+                 exact_distribution=report.exact_distribution)
 
 
 def _tomography(gate, shots, seed, **params) -> dict:
     if shots < 1:
         raise ValueError("tomography needs shots >= 1 (counts per setting)")
-    est = tomography_baseline(gate, shots, seed=seed, **params)
-    estimate = asdict(est)
-    gate_uses = estimate.pop("gate_uses")
-    return {"fidelities": {}, "gate_uses": gate_uses, "estimate": estimate}
+    estimate = asdict(tomography_baseline(gate, shots, seed=seed, **params))
+    return _body({}, estimate.pop("gate_uses"), estimate=estimate)
 
 
 @functools.cache
@@ -165,28 +171,21 @@ class ReadingTable:
 
 
 def _double_pe(gate, shots, seed, n) -> dict:
-    """The double-pe body. Its ``exact_distribution`` is a :class:`ReadingTable`:
-    the CLI writes it from its key-ordered arrays, and :func:`run_experiment`
-    returns it as the plain ``{"za,zb": p}`` dict."""
+    """The double-pe body; its ``exact_distribution`` is a :class:`ReadingTable`."""
     report = run_double_pe(gate, n, shots=shots, seed=seed)
-    body = {
-        "exact_distribution": ReadingTable.from_ranking(
-            n, report.ranked, report.ranked_probabilities
-        ),
-        "fidelities": {
-            f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches
-        },
-        "gate_uses": report.gate_uses,
-    }
-    if shots > 0:
-        body["histogram"] = {f"{za},{zb}": c for (za, zb), c in report.joint_histogram.items()}
-    return body
+    return _body(
+        {f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches},
+        report.gate_uses,
+        shots,
+        {f"{za},{zb}": c for (za, zb), c in report.joint_histogram.items()},
+        exact_distribution=ReadingTable.from_ranking(n, report.ranked, report.ranked_probabilities),
+    )
 
 
 def _qudit(gate, shots, seed, d) -> dict:
     if gate.shape[0] != d:
         raise ValueError(f"gate dimension {gate.shape[0]} does not match requested d={d}")
-    return _labelled_body(run_qudit_minus_one(gate, seed=seed, shots=shots))
+    return _labelled("run_qudit_minus_one", gate, shots, seed)
 
 
 # The one table of protocols: config validation, the --protocol choices, the
@@ -197,24 +196,16 @@ PROTOCOLS = {
     "tomography": Protocol(
         (Param("phase_grid_size", int, required=False, minimum=3, maximum=1024),), _tomography
     ),
-    "pm1": Protocol(
-        (), lambda gate, shots, seed: _labelled_body(protocol_pm1(gate, seed, shots))
-    ),
+    "pm1": Protocol((), functools.partial(_labelled, "protocol_pm1")),
     "known-phases": Protocol(
         (
             Param("theta1", float, flag="the first known phase"),
             Param("theta2", float, flag="the second known phase"),
         ),
-        lambda gate, shots, seed, theta1, theta2: _labelled_body(
-            protocol_known_phases(gate, theta1, theta2, seed, shots)
-        ),
+        functools.partial(_labelled, "protocol_known_phases"),
     ),
-    "square-trick": Protocol(
-        (), lambda gate, shots, seed: _labelled_body(protocol_square_trick(gate, seed, shots))
-    ),
-    "quartet": Protocol(
-        (), lambda gate, shots, seed: _labelled_body(protocol_quartet(gate, seed, shots))
-    ),
+    "square-trick": Protocol((), functools.partial(_labelled, "protocol_square_trick")),
+    "quartet": Protocol((), functools.partial(_labelled, "protocol_quartet")),
     "double-pe": Protocol(
         (
             Param(

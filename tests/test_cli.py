@@ -678,6 +678,34 @@ class TestMain:
         jsonschema.validate(report, SCHEMA)
         assert report.get("errors") == ([refusal] if status else None)
 
+    @pytest.mark.parametrize(
+        "gap, errors",
+        [
+            (5e-13, ["gate spectrum is degenerate"]),
+            (2e-12, ["eigenphases must be distinct"]),
+            (5e-9, ["eigenphases must be distinct"]),
+            (7.5e-9, ["eigenphases must be distinct"]),
+            (1.5e-8, None),
+            (2e-8, None),
+        ],
+        ids=["degenerate-half", "degenerate-twice", "distinct-half", "distinct-three-quarters",
+             "distinct-three-halves", "distinct-twice"],
+    )
+    def test_double_pe_spectrum_tolerance_boundary(self, tmp_path, capsys, gap, errors):
+        # DEGENERACY_ATOL is 1e-12 and double-pe's distinct-phase bound
+        # SPECTRUM_ATOL 1e-8: eigenvalues e^{0.7i} and e^{i(0.7 + gap)} lie
+        # about gap apart, so a gap of half a bound is refused by it and one of
+        # twice it gets past it. A bound moved to exactly a tested gap is left
+        # to rounding, so 0.75 and 1.5 times SPECTRUM_ATOL pin it from inside
+        gate = tmp_path / "gate.json"
+        save_unitary(gate, np.diag([np.exp(0.7j), np.exp(1j * (0.7 + gap))]))
+        config = {"protocol": "double-pe", "gate": {"file": str(gate)}, "shots": 0,
+                  "params": {"n": 3}}
+        assert run_cli(["run", "--config", write_config(tmp_path, config)]) == (1 if errors else 0)
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report.get("errors") == errors
+
     def test_spectrum_error_text_is_free_of_solver_noise(self, tmp_path, capsys):
         # the computed phases of these gates differ in their last bits
         texts = set()
@@ -924,6 +952,36 @@ class TestProtocolTable:
         assert merged["params"] == {"theta1": 0.5, "theta2": 2.0, "d": 3}
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--config", path, "--phase_grid_size", "4"])
+
+    def test_runners_are_looked_up_in_the_cli_module_at_call_time(self, tmp_path, monkeypatch):
+        # a tracer wraps these qsinglet.cli bindings after import; each run
+        # must call the wrapper, not a function captured when the table was built
+        runners = {
+            "pm1": "protocol_pm1",
+            "square-trick": "protocol_square_trick",
+            "known-phases": "protocol_known_phases",
+            "quartet": "protocol_quartet",
+            "qudit-minus-one": "run_qudit_minus_one",
+            "double-pe": "run_double_pe",
+            "tomography": "tomography_baseline",
+        }
+        assert set(runners) == set(PROTOCOLS)
+        calls = {}
+
+        def counted(name, runner):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return runner(*args, **kwargs)
+            return wrapper
+
+        for name in runners.values():
+            monkeypatch.setattr(qsinglet.cli, name, counted(name, getattr(qsinglet.cli, name)))
+        expected = {}
+        for protocol, name in runners.items():
+            path = write_config(tmp_path, PROTOCOL_CONFIGS[protocol])
+            assert run_cli(["run", "--config", path]) == 0
+            expected[name] = 1
+            assert calls == expected, protocol
 
 
 def test_module_entry_point_runs_without_runtime_warning():

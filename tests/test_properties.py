@@ -6,14 +6,18 @@ the histogram. Every protocol's eigenbasis analysis, and double phase
 estimation's closed form, is checked against the simulated network it
 replaces. Through the command line, a valid config gives the same bytes on
 every run and a malformed one an errors report, and the report writer writes
-what ``json.dumps`` would.
+what ``json.dumps`` would. A failing property test still reports its
+falsifying example when warnings are errors.
 """
 
 import decimal
 import itertools
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 from decimal import Decimal
 from importlib import resources
@@ -638,3 +642,20 @@ def test_double_pe_keys_are_built_in_key_order(case):
     assert table == {
         f"{z // 2 ** n},{z % 2 ** n}": p for z, p in zip(readings, probabilities)
     }
+
+
+def test_failing_property_test_reports_its_example_under_warnings_as_errors(tmp_path):
+    # tests/conftest.py loaded as a plugin, as pytest loads it for this suite
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-W", "error", "-p", "conftest", "test_fails.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert "Falsifying example" in run.stdout, run.stdout + run.stderr
+    assert "INTERNALERROR" not in run.stdout + run.stderr
