@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
+from .floattext import float_texts
 from .linalg import MAX_SEED, generate_gate, load_unitary, require_int, require_number, save_unitary
 from .phase_estimation import MAX_REGISTER_QUBITS, run_double_pe
 # _labelled calls protocol_* and run_qudit_minus_one by name, through these bindings
@@ -157,13 +158,15 @@ class ReadingTable:
 
     def json_text(self, indent: str) -> str:
         """Exactly ``report_json(self.as_dict(), indent)``, built with no key
-        string or dict: each distinct probability is formatted once, and the
-        lines are joined from cached byte tables."""
+        string or dict: the distinct probabilities are formatted in one batch
+        by :func:`~qsinglet.floattext.float_texts`, whose bytes are exactly
+        ``float.__repr__``'s, and the lines are joined from cached byte
+        tables."""
         _, heads, tails = _reading_names(self.n)
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
         # positive values, so np.unique merges no -0.0 into 0.0
         distinct, inverse = np.unique(self.probabilities, return_inverse=True)
-        texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype="S")
+        texts = float_texts(distinct)
         lines = np.char.add(np.char.add(heads[z_a], tails[z_b]), texts[inverse])
         inner = indent + "  "
         body = (",\n" + inner).encode().join(lines.tolist()).decode()
@@ -325,8 +328,9 @@ def report_json(value, indent: str = "") -> str:
     Objects with string keys, lists, strings, ints, finite floats, booleans
     and None are written here, in one pass over the value. A
     :class:`ReadingTable` (double-pe's ``exact_distribution`` on the CLI
-    path) is written from its key-ordered arrays, each distinct probability
-    formatted once, as its ``as_dict()`` would be. What only ``json.dumps``
+    path) is written from its key-ordered arrays, as its ``as_dict()`` would
+    be, its distinct probabilities formatted in one batch with ``repr``'s
+    exact bytes (:meth:`ReadingTable.json_text`). What only ``json.dumps``
     spells byte for byte (NaN and the infinities, non-string keys, other
     types) is handed to it one value at a time: JSON strings hold no raw
     newline, so re-indenting its lines changes nothing else.
