@@ -124,64 +124,102 @@ def _reading_names(n: int) -> tuple:
     return tables
 
 
+def _runs(values: np.ndarray) -> tuple:
+    """Each run of equal neighbours once, and each entry's index into those
+    runs: the distinct values of a sorted array, found with no sort."""
+    change = np.empty(values.shape[0], dtype=bool)
+    change[:1] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return values[change], np.cumsum(change) - 1
+
+
 @dataclass(frozen=True)
 class ReadingTable:
-    """Double-pe's exact distribution as arrays: flat readings ``za * 2^n + zb``
-    in ``"za,zb"`` key order, and their probabilities (positive and finite).
+    """A double-pe map from readings to one value column, as arrays: flat
+    readings ``za * 2^n + zb`` in ``"za,zb"`` key order, their ``values``
+    (floats, float pairs as rows of two, or ints) and each value's JSON text
+    as bytes (a pair's two texts as a row of two).
 
     The CLI writes it straight from the arrays (:meth:`json_text`);
-    ``as_dict`` is the same distribution as the ``{"za,zb": p}`` dict that
+    ``as_dict`` is the same map as the ``{"za,zb": value}`` dict that
     :func:`run_experiment` returns. Both take the readings in their stored
     order.
     """
 
     n: int
     readings: np.ndarray
-    probabilities: np.ndarray
+    values: np.ndarray
+    texts: np.ndarray
+
+    @classmethod
+    def keyed(cls, n: int, readings: np.ndarray, values: np.ndarray, texts: np.ndarray):
+        """The rows put in key order and made read-only. "," sorts below
+        every digit, so the keys sort as (rank[za], rank[zb])."""
+        ranks = _reading_names(n)[0]
+        z_a, z_b = np.divmod(readings, 2 ** n)
+        order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
+        columns = readings[order], values[order], texts[order]
+        for column in columns:
+            column.flags.writeable = False
+        return cls(n, *columns)
 
     @classmethod
     def from_ranking(cls, n: int, ranked: np.ndarray, probabilities: np.ndarray):
-        """A ranking's distinct readings and probabilities, put in key order and
-        made read-only. "," sorts below every digit, so the keys sort as
-        (rank[za], rank[zb])."""
-        ranks = _reading_names(n)[0]
-        z_a, z_b = np.divmod(ranked, 2 ** n)
-        order = np.argsort(ranks[z_a] * 2 ** n + ranks[z_b])
-        readings, probabilities = ranked[order], probabilities[order]
-        readings.flags.writeable = probabilities.flags.writeable = False
-        return cls(n, readings, probabilities)
+        """A ranking's distinct readings and their probabilities (positive
+        and finite), each equal run of probabilities formatted once."""
+        distinct, inverse = _runs(probabilities)
+        return cls.keyed(n, ranked, probabilities, float_texts(distinct)[inverse])
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """The value column of an exact distribution."""
+        return self.values
 
     def as_dict(self) -> dict:
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
-        pairs = zip(z_a.tolist(), z_b.tolist(), self.probabilities.tolist())
-        return {f"{a},{b}": p for a, b, p in pairs}
+        pairs = zip(z_a.tolist(), z_b.tolist(), self.values.tolist())
+        return {f"{a},{b}": v for a, b, v in pairs}
 
     def json_text(self, indent: str) -> str:
-        """Exactly ``report_json(self.as_dict(), indent)``, built with no key
-        string or dict: the distinct probabilities are formatted in one batch
-        by :func:`~qsinglet.floattext.float_texts`, whose bytes are exactly
-        ``float.__repr__``'s, and the lines are joined from cached byte
-        tables."""
+        """Exactly ``report_json(self.as_dict(), indent)``, joined from the
+        stored texts and cached key tables with no key string or dict; a
+        pair is written as ``report_json`` writes a two-float list."""
         _, heads, tails = _reading_names(self.n)
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
-        # positive values, so np.unique merges no -0.0 into 0.0
-        distinct, inverse = np.unique(self.probabilities, return_inverse=True)
-        texts = float_texts(distinct)
-        lines = np.char.add(np.char.add(heads[z_a], tails[z_b]), texts[inverse])
         inner = indent + "  "
+        texts = self.texts
+        if texts.ndim == 2:
+            deeper = "\n" + inner + "  "
+            first = np.char.add(("[" + deeper).encode(), texts[:, 0])
+            second = np.char.add(("," + deeper).encode(), texts[:, 1])
+            texts = np.char.add(first, np.char.add(second, ("\n" + inner + "]").encode()))
+        lines = np.char.add(np.char.add(heads[z_a], tails[z_b]), texts)
         body = (",\n" + inner).encode().join(lines.tolist()).decode()
         return "{\n" + inner + body + "\n" + indent + "}"
 
 
 def _double_pe(gate, shots, seed, n) -> dict:
-    """The double-pe body; its ``exact_distribution`` is a :class:`ReadingTable`."""
+    """The double-pe body, each of its three maps a :class:`ReadingTable`.
+    Every float they hold is formatted in one :func:`float_texts` call; the
+    distribution's distinct probabilities are read off its rank order."""
     report = run_double_pe(gate, n, shots=shots, seed=seed)
+    z_a, z_b, _, fidelity_a, fidelity_b, _, _ = report.analysed
+    fidelities = np.stack((fidelity_a, fidelity_b), axis=1)
+    distinct, inverse = _runs(report.ranked_probabilities)
+    texts = float_texts(np.concatenate((distinct, fidelities.reshape(-1))))
+    split = distinct.shape[0]
+    histogram = None
+    if shots > 0:
+        readings, counts = report.observed
+        histogram = ReadingTable.keyed(n, readings, counts, counts.astype("S"))
     return _body(
-        {f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in report.branches},
+        ReadingTable.keyed(n, z_a * 2 ** n + z_b, fidelities, texts[split:].reshape(-1, 2)),
         report.gate_uses,
         shots,
-        {f"{za},{zb}": c for (za, zb), c in report.joint_histogram.items()},
-        exact_distribution=ReadingTable.from_ranking(n, report.ranked, report.ranked_probabilities),
+        histogram,
+        exact_distribution=ReadingTable.keyed(
+            n, report.ranked, report.ranked_probabilities, texts[:split][inverse]
+        ),
     )
 
 
@@ -327,13 +365,12 @@ def report_json(value, indent: str = "") -> str:
 
     Objects with string keys, lists, strings, ints, finite floats, booleans
     and None are written here, in one pass over the value. A
-    :class:`ReadingTable` (double-pe's ``exact_distribution`` on the CLI
-    path) is written from its key-ordered arrays, as its ``as_dict()`` would
-    be, its distinct probabilities formatted in one batch with ``repr``'s
-    exact bytes (:meth:`ReadingTable.json_text`). What only ``json.dumps``
-    spells byte for byte (NaN and the infinities, non-string keys, other
-    types) is handed to it one value at a time: JSON strings hold no raw
-    newline, so re-indenting its lines changes nothing else.
+    :class:`ReadingTable` (each of double-pe's three maps on the CLI path)
+    is written from its key-ordered arrays and stored texts, as its
+    ``as_dict()`` would be (:meth:`ReadingTable.json_text`). What only
+    ``json.dumps`` spells byte for byte (NaN and the infinities, non-string
+    keys, other types) is handed to it one value at a time: JSON strings
+    hold no raw newline, so re-indenting its lines changes nothing else.
     """
     kind = type(value)
     if kind is dict:
@@ -376,8 +413,8 @@ def _emit(report: dict, out_path) -> None:
 
 
 def _run(config: dict) -> dict:
-    """The report as the CLI writes it: double-pe's distribution stays a
-    :class:`ReadingTable`."""
+    """The report as the CLI writes it: double-pe's maps stay
+    :class:`ReadingTable` objects."""
     config = validate_config(config)
     gate = resolve_gate(config["gate"])
     body = PROTOCOLS[config["protocol"]].run(
@@ -390,9 +427,9 @@ def run_experiment(config: dict) -> dict:
     """Validate a merged config, run its protocol, and return the report.
 
     The report carries "meta" and "config" plus the protocol body (see
-    :class:`Protocol`), all plain JSON values: double-pe's distribution is
-    the ``{"za,zb": p}`` dict in key order. ``qsinglet run`` writes the same
-    report, but writes that distribution from its key-ordered arrays.
+    :class:`Protocol`), all plain JSON values: each of double-pe's maps is a
+    ``{"za,zb": value}`` dict in key order. ``qsinglet run`` writes the same
+    report, but writes those maps from their key-ordered arrays.
     """
     return {
         key: value.as_dict() if type(value) is ReadingTable else value

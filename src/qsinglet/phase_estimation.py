@@ -126,7 +126,11 @@ class PeReport:
     ``z_a * 2^n + z_b`` of the at most ``DISTRIBUTION_CAP`` most likely
     readings above the probability floor, largest first and ties in index
     order, and ``ranked_probabilities`` their joint probabilities.
-    ``exact_joint``, the dense 2^n x 2^n joint, is built on first read.
+    ``analysed`` holds the :class:`PeBranch` fields as seven arrays, one entry
+    per analysed reading; with shots, ``observed`` holds the observed flat
+    readings and their counts, most frequent first and ties in index order
+    (empty arrays without shots). ``branches``, ``joint_histogram`` and
+    ``exact_joint``, the dense 2^n x 2^n joint, are built on first read.
     """
 
     n: int
@@ -135,10 +139,21 @@ class PeReport:
     profiles: tuple
     ranked: np.ndarray
     ranked_probabilities: np.ndarray
-    branches: tuple
-    joint_histogram: dict
+    analysed: tuple
+    observed: tuple
     shots_used: int
     gate_uses: int
+
+    @cached_property
+    def branches(self) -> tuple:
+        """One :class:`PeBranch` per analysed reading, in ``analysed`` order."""
+        return tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in self.analysed)))
+
+    @cached_property
+    def joint_histogram(self) -> dict:
+        """``{(z_a, z_b): count}`` of the observed readings, in ``observed`` order."""
+        size = 2 ** self.n
+        return {divmod(z, size): c for z, c in zip(*(c.tolist() for c in self.observed))}
 
     @cached_property
     def exact_joint(self) -> np.ndarray:
@@ -186,8 +201,11 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
     """Flat indices and probabilities of the joint's top ``cap`` readings.
 
     Equal, bit for bit, to ``top_k(J, cap)`` for the dense joint J = S + S^T
-    and J's entries there, but read off the two profiles. J >= S entrywise,
-    so J's cap-th largest value is at least S's, S_(cap), and every reading
+    and J's entries there. While 4^n <= cap (n <= 6 at the report's cap)
+    every reading is a candidate and the staircase below could prune none,
+    so that ``top_k`` is taken directly. Above, the ranking is read off the
+    two profiles. J >= S entrywise, so
+    J's cap-th largest value is at least S's, S_(cap), and every reading
     ``top_k`` keeps has max(S_ab, S_ba) >= max(S_(cap), PROB_FLOOR) / 2. With
     x = |g_1|^2 and y = |g_2|^2 sorted descending, product x_a y_b = 2 S_ab
     has (a+1)(b+1) products at least as large, so the cap largest lie on the
@@ -195,6 +213,10 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
     transposes are evaluated, so memory stays O(2^n + candidates).
     """
     size = g1.shape[0]
+    if size * size <= cap:
+        flat = _dense_joint(g1, g2).reshape(-1)
+        kept = top_k(flat, cap)
+        return kept, flat[kept]
     x, y = np.abs(g1) ** 2, np.abs(g2) ** 2
     order_x, order_y = np.argsort(-x), np.argsort(-y)
     xs, ys = x[order_x], y[order_y]
@@ -224,7 +246,8 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
 
 
 def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray) -> tuple:
-    """One :class:`PeBranch` per flat reading, computed in one array pass.
+    """The :class:`PeBranch` fields of each flat reading as seven arrays,
+    computed in one array pass.
 
     Half A holds e1 with fidelity S / (S + S^T), half B with the rest; each
     half is matched to the eigenphase whose grid point is nearest its reading
@@ -242,8 +265,7 @@ def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray)
     match_a, match_b = match(z_a), match(z_b)
     fid_a = np.where(match_a == 0, share, 1.0 - share)
     fid_b = np.where(match_b == 0, 1.0 - share, share)
-    columns = (z_a, z_b, p, fid_a, fid_b, match_a, match_b)
-    return tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in columns)))
+    return z_a, z_b, p, fid_a, fid_b, match_a, match_b
 
 
 def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeReport:
@@ -254,8 +276,9 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
     joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
 
-    The top ``DISTRIBUTION_CAP`` readings are ranked from the two 2^n profiles
-    without forming the 4^n joint. ``shots = 0`` analyzes the first
+    The top ``DISTRIBUTION_CAP`` readings are ranked from the two 2^n profiles,
+    forming the 4^n joint only while it has at most ``DISTRIBUTION_CAP``
+    entries. ``shots = 0`` analyzes the first
     ``EXACT_BRANCH_CAP`` readings of ``ranked`` and allocates O(2^n) memory
     plus the candidates; positive ``shots`` samples readings from the dense
     joint (``exact_joint``) and analyzes every distinct observed branch. Each
@@ -274,13 +297,14 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     # the order and the floor are the same at every cap, so the analysed
     # branches are a prefix of the one ranking
     ranked, probabilities = _rank_joint(g1, g2, DISTRIBUTION_CAP)
-    histogram = {}
     if shots > 0:
         counts, _ = sample_counts(_dense_joint(g1, g2), shots, seed)
         picked = top_k(counts, None)
-        histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
+        observed = picked, counts[picked]
     else:
         picked = ranked[:EXACT_BRANCH_CAP]
+        none = np.zeros(0, dtype=np.int64)
+        observed = none, none
     return PeReport(
         n=n,
         eigenphases=tuple(float(p) for p in phases),
@@ -288,8 +312,8 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         profiles=(g1, g2),
         ranked=ranked,
         ranked_probabilities=probabilities,
-        branches=_analyze(grids, g1, g2, picked),
-        joint_histogram=histogram,
+        analysed=_analyze(grids, g1, g2, picked),
+        observed=observed,
         shots_used=shots,
         gate_uses=2 * (size - 1),
     )

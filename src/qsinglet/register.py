@@ -19,7 +19,7 @@ NORM_ATOL = 1e-10
 PHASE_FIX_ATOL = 1e-9
 # outcomes at or below this Born probability are treated as never occurring
 PROB_FLOOR = 1e-12
-# draws per Generator.choice call when sampling shots
+# uniforms drawn per batch when sampling shots
 SAMPLE_CHUNK = 1 << 16
 
 
@@ -233,18 +233,22 @@ def sample_counts(probs, shots: int, seed: int):
     """Draw ``shots`` seeded outcomes from a distribution; return (counts, first).
 
     ``counts[i]`` is how often flat outcome ``i`` was drawn and ``first`` the
-    first draw (None when ``shots`` is 0). Draws come from
-    ``default_rng(seed).choice`` in chunks of ``SAMPLE_CHUNK``: each draw
-    consumes one uniform, so the result equals a single ``choice(size=shots)``
+    first draw (None when ``shots`` is 0). Each draw looks one uniform from
+    ``default_rng(seed).random`` up in the distribution's CDF, built once, as
+    ``Generator.choice(p=...)`` does on every call; draws come in chunks of
+    ``SAMPLE_CHUNK``, so the result equals a single ``choice(size=shots)``
     call while memory stays bounded by the chunk.
     """
     p = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
     p /= p.sum()
+    # the CDF overwrites p, which is not needed again
+    cdf = p.cumsum(out=p)
+    cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     counts = np.zeros(p.shape[0], dtype=np.int64)
     first = None
     for start in range(0, shots, SAMPLE_CHUNK):
-        draws = rng.choice(p.shape[0], size=min(SAMPLE_CHUNK, shots - start), p=p)
+        draws = cdf.searchsorted(rng.random(min(SAMPLE_CHUNK, shots - start)), side="right")
         if first is None:
             first = int(draws[0])
         counts += np.bincount(draws, minlength=p.shape[0])

@@ -21,6 +21,7 @@ import qsinglet
 from qsinglet.cli import (
     MAX_SHOTS,
     PROTOCOLS,
+    ReadingTable,
     apply_overrides,
     build_parser,
     generate_gate,
@@ -524,6 +525,59 @@ def double_pe_configs(draw):
 def test_cli_writes_the_run_experiment_report_for_double_pe(config):
     with tempfile.TemporaryDirectory() as tmp:
         assert_cli_writes_run_experiment_report(Path(tmp), config)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8])
+@pytest.mark.parametrize("shots", [0, 1, 1000])
+def test_double_pe_maps_are_the_library_report(n, shots):
+    """The fidelities and histogram written from arrays are the library's
+    branches and joint histogram: half A's fidelity first, counts as ints."""
+    config = dict(OFF_GRID_DOUBLE_PE, shots=shots, params={"n": n})
+    report = run_experiment(config)
+    library = run_double_pe(resolve_gate(config["gate"]), n, shots=shots, seed=config["seed"])
+    assert report["fidelities"] == {
+        f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in library.branches
+    }
+    assert all(type(f) is float for pair in report["fidelities"].values() for f in pair)
+    if shots:
+        assert report["histogram"] == {
+            f"{za},{zb}": c for (za, zb), c in library.joint_histogram.items()
+        }
+        assert all(type(c) is int for c in report["histogram"].values())
+    else:
+        assert "histogram" not in report
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 2 ** 20 - 1),
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            st.integers(1, MAX_SHOTS),
+        ),
+        min_size=1,
+        max_size=40,
+        unique_by=lambda row: row[0],
+    ),
+    indent=st.sampled_from(["", "  ", "    "]),
+)
+def test_pair_and_count_tables_write_their_dict_reports(n, rows, indent):
+    """A table of float pairs is written as report_json writes two-float
+    lists, and a table of counts as it writes ints."""
+    readings = np.array(sorted({r % 4 ** n for r, *_ in rows}), dtype=np.int64)
+    chosen = {r % 4 ** n: row for r, *row in rows}
+    pairs = np.array([chosen[r][:2] for r in readings.tolist()]).reshape(-1, 2)
+    counts = np.array([chosen[r][2] for r in readings.tolist()], dtype=np.int64)
+    texts = np.array([repr(f).encode() for f in pairs.reshape(-1).tolist()], dtype="S")
+    for table in (
+        ReadingTable.keyed(n, readings, pairs, texts.reshape(-1, 2)),
+        ReadingTable.keyed(n, readings, counts, counts.astype("S")),
+    ):
+        assert table.json_text(indent) == report_json(table.as_dict(), indent)
+        assert list(table.as_dict()) == sorted(table.as_dict())
 
 
 def seeded_labelled_configs(count):

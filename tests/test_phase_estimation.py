@@ -5,11 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsinglet import phase_estimation
 from qsinglet.cli import resolve_gate
 from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
 from qsinglet.phase_estimation import (
     DISTRIBUTION_CAP,
+    PeBranch,
+    _analyze,
     _dense_joint,
     _rank_joint,
     EXACT_BRANCH_CAP,
@@ -24,7 +29,7 @@ from qsinglet.phase_estimation import (
     run_double_pe,
 )
 from qsinglet.protocols import SpectrumError
-from qsinglet.register import State, top_k
+from qsinglet.register import PROB_FLOOR, State, sample_counts, top_k
 
 TWO_PI = 2.0 * math.pi
 
@@ -444,3 +449,128 @@ class TestProfileRanking:
         size = 2 ** MAX_REGISTER_QUBITS
         assert isinstance(report.exact_joint, np.ndarray)
         assert report.exact_joint.shape == (size, size)
+
+
+def profile_pair(n, phases):
+    """The two register profiles of eigenphases ``phases`` at n qubits."""
+    return tuple(g_amplitude(np.arange(2 ** n), nearest_grid(phi, n)) for phi in phases)
+
+
+@st.composite
+def profile_cases(draw):
+    """n = 5, 6 or 7, two distinct phases on the grid or off it, and a cap
+    one below, at or one above 4^n."""
+    n = draw(st.sampled_from([5, 6, 7]))
+    if draw(st.booleans()):
+        readings = st.integers(0, 2 ** n - 1)
+        k1, k2 = draw(st.lists(readings, min_size=2, max_size=2, unique=True))
+        phases = [TWO_PI * k1 / 2 ** n, TWO_PI * k2 / 2 ** n]
+    else:
+        theta = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+        gap = draw(st.floats(0.05, TWO_PI - 0.05))
+        phases = [theta, (theta + gap) % TWO_PI]
+    return n, phases, 4 ** n + draw(st.sampled_from([-1, 0, 1]))
+
+
+class TestRankingRegimes:
+    """Dense ranking while 4^n <= cap, the staircase above it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=profile_cases())
+    def test_both_regimes_equal_dense_top_k(self, case):
+        n, phases, cap = case
+        g1, g2 = profile_pair(n, phases)
+        ranked, values = _rank_joint(g1, g2, cap)
+        flat = _dense_joint(g1, g2).reshape(-1)
+        kept = top_k(flat, cap)
+        assert ranked.tolist() == kept.tolist()
+        assert values.tobytes() == flat[kept].tobytes()
+
+    def test_register_size_picks_the_regime(self, monkeypatch):
+        widths = []
+        real = phase_estimation._prefix_pairs
+
+        def spy(w):
+            widths.append(w)
+            return real(w)
+
+        monkeypatch.setattr(phase_estimation, "_prefix_pairs", spy)
+        u = gate_with_phases([0.7, 2.9], 3)
+        run_double_pe(u, 6)
+        assert widths == []
+        run_double_pe(u, 7)
+        assert len(widths) == 2
+        # the switch sits exactly at 4^n = cap, whatever the cap
+        for n in (3, 5, 7):
+            g1, g2 = profile_pair(n, [0.7, 2.9])
+            widths.clear()
+            _rank_joint(g1, g2, 4 ** n)
+            assert widths == []
+            _rank_joint(g1, g2, 4 ** n - 1)
+            assert len(widths) == 2
+
+
+class TestRankSlack:
+    """``RANK_SLACK`` on each side: wide enough for rounding, and no wider."""
+
+    def test_keeps_a_reading_its_products_round_below_the_floor(self):
+        """Fewer than the cap readings clear the floor here, so the bound is
+        PROB_FLOOR itself. Reading (0, 0) has J = |g_1 g_2|^2 one ulp above
+        it while |g_1|^2 |g_2|^2 rounds below it, so with no slack the
+        staircase would not evaluate a reading that ``top_k`` keeps."""
+        u = np.diag([complex(0.9999999999957493, 2.9157285942466027e-06),
+                     complex(0.9700311937077197, 0.24298041738785503)])
+        report = run_double_pe(u, 7)
+        kept, values = dense_top_k(report)
+        assert report.ranked.tolist() == kept.tolist()
+        assert report.ranked_probabilities.tobytes() == values.tobytes()
+        assert len(kept) < DISTRIBUTION_CAP and 0 in kept.tolist()
+
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_evaluates_no_reading_far_below_the_bound(self, n, monkeypatch):
+        """Every reading the staircase evaluates reaches within 1e-6 of its
+        bound max(P_(cap) / 2, PROB_FLOOR), P = |g_1|^2 (x) |g_2|^2."""
+        seen = []
+        real = phase_estimation._joint_entries
+
+        def spy(g1, g2, z_a, z_b):
+            seen.append((z_a, z_b))
+            return real(g1, g2, z_a, z_b)
+
+        monkeypatch.setattr(phase_estimation, "_joint_entries", spy)
+        g1, g2 = profile_pair(n, [0.7, 2.9])
+        _rank_joint(g1, g2, DISTRIBUTION_CAP)
+        ((z_a, z_b),) = seen
+        x, y = np.abs(g1) ** 2, np.abs(g2) ** 2
+        products = np.outer(x, y).reshape(-1)
+        kth = products.shape[0] - DISTRIBUTION_CAP
+        bound = max(float(np.partition(products, kth)[kth]) / 2.0, PROB_FLOOR)
+        reach = np.maximum(x[z_a] * y[z_b], x[z_b] * y[z_a])
+        assert reach.min() >= bound * (1.0 - 1e-6)
+
+
+class TestLazyBranches:
+    """``branches`` and ``joint_histogram`` are built on first read."""
+
+    @pytest.mark.parametrize("shots", [0, 1, 1000])
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_equal_the_eager_values_and_are_built_once(self, n, shots):
+        seed = 7
+        report = run_double_pe(gate_with_phases([0.7, 2.9], 5), n, shots=shots, seed=seed)
+        assert "branches" not in vars(report) and "joint_histogram" not in vars(report)
+        size = 2 ** n
+        if shots:
+            counts, _ = sample_counts(report.exact_joint, shots, seed)
+            picked = top_k(counts, None)
+            histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
+        else:
+            picked = report.ranked[:EXACT_BRANCH_CAP]
+            histogram = {}
+        columns = _analyze(report.grids, *report.profiles, picked)
+        branches = tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in columns)))
+        assert report.branches == branches
+        assert list(report.joint_histogram.items()) == list(histogram.items())
+        assert all(type(c) is int for c in report.joint_histogram.values())
+        assert all(type(b.probability) is float and type(b.z_a) is int for b in report.branches)
+        assert report.branches is report.branches
+        assert report.joint_histogram is report.joint_histogram

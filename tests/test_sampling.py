@@ -27,15 +27,15 @@ def single_call(probs, shots, seed):
 
 
 class RecordingRng:
-    """Generator stand-in that records the size of every choice call."""
+    """Generator stand-in that records the size of every random call."""
 
     def __init__(self, rng):
         self.rng = rng
         self.sizes = []
 
-    def choice(self, *args, size, **kwargs):
+    def random(self, size):
         self.sizes.append(size)
-        return self.rng.choice(*args, size=size, **kwargs)
+        return self.rng.random(size)
 
 
 def test_chunked_sampler_matches_single_call(monkeypatch):
