@@ -12,11 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -140,7 +138,8 @@ class ReadingTable:
     (floats, float pairs as rows of two, or ints) and each value's JSON text
     as bytes (a pair's two texts as a row of two).
 
-    The CLI writes it straight from the arrays (:meth:`json_text`);
+    It is the one value :func:`report_json` does not hand to ``json.dumps``:
+    the CLI writes it straight from the arrays (:meth:`json_text`).
     ``as_dict`` is the same map as the ``{"za,zb": value}`` dict that
     :func:`run_experiment` returns. Both take the readings in their stored
     order.
@@ -163,27 +162,16 @@ class ReadingTable:
             column.flags.writeable = False
         return cls(n, *columns)
 
-    @classmethod
-    def from_ranking(cls, n: int, ranked: np.ndarray, probabilities: np.ndarray):
-        """A ranking's distinct readings and their probabilities (positive
-        and finite), each equal run of probabilities formatted once."""
-        distinct, inverse = _runs(probabilities)
-        return cls.keyed(n, ranked, probabilities, float_texts(distinct)[inverse])
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The value column of an exact distribution."""
-        return self.values
-
     def as_dict(self) -> dict:
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
         pairs = zip(z_a.tolist(), z_b.tolist(), self.values.tolist())
         return {f"{a},{b}": v for a, b, v in pairs}
 
     def json_text(self, indent: str) -> str:
-        """Exactly ``report_json(self.as_dict(), indent)``, joined from the
-        stored texts and cached key tables with no key string or dict; a
-        pair is written as ``report_json`` writes a two-float list."""
+        """Exactly ``json.dumps(self.as_dict(), sort_keys=True, indent=2)``
+        nested at ``indent``, joined from the stored texts and cached key
+        tables with no key string or dict; a pair is written as
+        ``json.dumps`` writes a two-float list."""
         _, heads, tails = _reading_names(self.n)
         z_a, z_b = np.divmod(self.readings, 2 ** self.n)
         inner = indent + "  "
@@ -345,61 +333,21 @@ def resolve_gate(source) -> np.ndarray:
     )
 
 
-def _texts(values: list, indent: str) -> list:
-    """The JSON text of each value, nested at ``indent``.
-
-    One type check covers a list of floats or of ints, each value formatted
-    by its type's repr. Any other list goes value by value.
-    """
-    kinds = set(map(type, values))
-    # the sum is finite unless a value is NaN or infinite (or it overflows)
-    if kinds == {float} and math.isfinite(sum(values)):
-        return list(map(float.__repr__, values))
-    if kinds == {int}:
-        return list(map(int.__repr__, values))
-    return [report_json(v, indent) for v in values]
-
-
 def report_json(value, indent: str = "") -> str:
-    """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at ``indent``.
+    """Exactly ``json.dumps(value, sort_keys=True, indent=2)``, nested at
+    ``indent``, where each :class:`ReadingTable` counts as its ``as_dict()``.
 
-    Objects with string keys, lists, strings, ints, finite floats, booleans
-    and None are written here, in one pass over the value. A
-    :class:`ReadingTable` (each of double-pe's three maps on the CLI path)
-    is written from its key-ordered arrays and stored texts, as its
-    ``as_dict()`` would be (:meth:`ReadingTable.json_text`). What only
-    ``json.dumps`` spells byte for byte (NaN and the infinities, non-string
-    keys, other types) is handed to it one value at a time: JSON strings
-    hold no raw newline, so re-indenting its lines changes nothing else.
+    A table writes itself from its arrays (:meth:`ReadingTable.json_text`),
+    and a dict that holds one, such as a double-pe report, is written key by
+    key. ``json.dumps`` writes everything else: JSON strings hold no raw
+    newline, so re-indenting its lines changes nothing else.
     """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        if set(map(type, value)) == {str}:
-            keys = sorted(value)
-            values = list(map(value.__getitem__, keys))
-            inner = indent + "  "
-            lines = map(": ".join, zip(map(encode_basestring_ascii, keys), _texts(values, inner)))
-            return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + indent + "}"
-    elif kind is list:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[\n" + inner + (",\n" + inner).join(_texts(value, inner)) + "\n" + indent + "]"
-    elif kind is str:
-        return encode_basestring_ascii(value)
-    elif kind is int:
-        return int.__repr__(value)
-    elif kind is float:
-        if math.isfinite(value):
-            return float.__repr__(value)
-    elif kind is bool:
-        return "true" if value else "false"
-    elif value is None:
-        return "null"
-    elif kind is ReadingTable:
+    if type(value) is ReadingTable:
         return value.json_text(indent)
+    if type(value) is dict and ReadingTable in set(map(type, value.values())):
+        inner = indent + "  "
+        lines = (json.dumps(key) + ": " + report_json(value[key], inner) for key in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + indent + "}"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 

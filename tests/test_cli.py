@@ -442,45 +442,26 @@ def test_report_bytes_are_json_dumps_of_the_report(tmp_path, config):
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("config", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
-def test_report_writer_formats_every_report_shape_itself(tmp_path, config, monkeypatch):
-    if config["protocol"] in PROTOCOLS:
-        report = run_experiment(dict(config))
-    else:
-        out = tmp_path / "report.json"
-        assert run_cli(["run", "--config", write_config(tmp_path, config), "--out", out]) == 1
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert "errors" in report
-    expected = json.dumps(report, sort_keys=True, indent=2)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("report_json handed part of a report to json.dumps")
-
-    monkeypatch.setattr("qsinglet.cli.json.dumps", refuse)
-    assert report_json(report) == expected
-
-
 FIXED_META = {"tool": "qsinglet", "version": qsinglet.__version__,
               "timestamp": "2000-01-01T00:00:00+00:00"}
 
 
 def assert_cli_writes_run_experiment_report(tmp_path, config):
     """The file ``cli.main`` writes is ``json.dumps`` of ``run_experiment``'s
-    report byte for byte (meta pinned), and the CLI reaches neither
-    ``json.dumps`` nor the dict path's ``ReadingTable.as_dict``."""
+    report byte for byte (meta pinned), and the CLI never reaches the dict
+    path's ``ReadingTable.as_dict``."""
     path = write_config(tmp_path, config)
     out = tmp_path / "report.json"
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI path fell back to json.dumps or ReadingTable.as_dict")
+        raise AssertionError("the CLI path fell back to ReadingTable.as_dict")
 
     with mock.patch.object(qsinglet.cli, "_meta", lambda: dict(FIXED_META)):
         try:
             report, status = run_experiment(dict(config)), 0
         except ValueError as exc:
             report, status = {"meta": dict(FIXED_META), "errors": [str(exc)]}, 1
-        with mock.patch.object(qsinglet.cli.json, "dumps", refuse), \
-                mock.patch.object(qsinglet.cli.ReadingTable, "as_dict", refuse):
+        with mock.patch.object(qsinglet.cli.ReadingTable, "as_dict", refuse):
             assert run_cli(["run", "--config", path, "--out", out]) == status
     assert out.read_text(encoding="utf-8") == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -565,8 +546,9 @@ def test_double_pe_maps_are_the_library_report(n, shots):
     indent=st.sampled_from(["", "  ", "    "]),
 )
 def test_pair_and_count_tables_write_their_dict_reports(n, rows, indent):
-    """A table of float pairs is written as report_json writes two-float
-    lists, and a table of counts as it writes ints."""
+    """A table of float pairs is written as json.dumps writes two-float
+    lists, and a table of counts as it writes ints, alone or as one value
+    of a report-like dict."""
     readings = np.array(sorted({r % 4 ** n for r, *_ in rows}), dtype=np.int64)
     chosen = {r % 4 ** n: row for r, *row in rows}
     pairs = np.array([chosen[r][:2] for r in readings.tolist()]).reshape(-1, 2)
@@ -578,6 +560,9 @@ def test_pair_and_count_tables_write_their_dict_reports(n, rows, indent):
     ):
         assert table.json_text(indent) == report_json(table.as_dict(), indent)
         assert list(table.as_dict()) == sorted(table.as_dict())
+        report = {"config": {"params": {"n": n}, "shots": 0}, "map": table, "gate_uses": 3}
+        expected = json.dumps(dict(report, map=table.as_dict()), sort_keys=True, indent=2)
+        assert report_json(report, indent) == expected.replace("\n", "\n" + indent)
 
 
 def seeded_labelled_configs(count):

@@ -90,14 +90,16 @@ def test_any_unit_interval_array_matches_repr(values):
 def test_reading_table_text_is_its_dict_report(n, probabilities, indent):
     readings = np.arange(len(probabilities), dtype=np.int64) * 7 % 4 ** n
     readings, first = np.unique(readings, return_index=True)
-    table = ReadingTable.from_ranking(n, readings, probabilities[first])
+    probabilities = probabilities[first]
+    table = ReadingTable.keyed(n, readings, probabilities, float_texts(probabilities))
     assert table.json_text(indent) == report_json(table.as_dict(), indent)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_off_grid_double_pe_tables_need_no_fallback(n, fallback_values):
     report = run_double_pe(generate_gate(2, [0.7, 2.9], 13), n)
-    table = ReadingTable.from_ranking(n, report.ranked, report.ranked_probabilities)
-    assert len(np.unique(table.probabilities)) > 1000
+    probabilities = report.ranked_probabilities
+    table = ReadingTable.keyed(n, report.ranked, probabilities, float_texts(probabilities))
+    assert len(np.unique(table.values)) > 1000
     assert table.json_text("  ") == report_json(table.as_dict(), "  ")
     assert fallback_values == []

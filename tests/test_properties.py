@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from qsinglet.cli import MAX_SHOTS, ReadingTable, main, report_json
 from qsinglet.discrimination import build_idp_povm, equatorial_state
+from qsinglet.floattext import float_texts
 from qsinglet.linalg import (
     MAX_SEED,
     EigenSystem,
@@ -598,7 +599,7 @@ json_values = st.recursive(
     ),
     max_leaves=30,
 )
-# flat maps of numbers take the writer's fast path when their types agree
+# flat maps of numbers, of one type or mixed
 flat_maps = st.one_of(
     st.dictionaries(st.text(max_size=6), floats_with_repeats, max_size=40),
     st.dictionaries(st.text(max_size=6), st.integers(), max_size=40),
@@ -635,8 +636,9 @@ def test_double_pe_keys_are_built_in_key_order(case):
     n, readings = case
     # a distinct probability per reading, so a key on the wrong value shows
     probabilities = [(i + 1) / (len(readings) + 1) for i in range(len(readings))]
-    table = ReadingTable.from_ranking(
-        n, np.array(readings, dtype=np.int64), np.array(probabilities)
+    values = np.array(probabilities)
+    table = ReadingTable.keyed(
+        n, np.array(readings, dtype=np.int64), values, float_texts(values)
     ).as_dict()
     assert list(table) == sorted(table)
     assert table == {

@@ -96,6 +96,25 @@ def test_state_validation():
         State((2, 2), np.array([1.0, 0.0]))  # wrong length
 
 
+# State and extract_subsystem document register.NORM_ATOL as 1e-10; the
+# boundary tests use the documented value, so moving the constant fails them
+DOCUMENTED_NORM_ATOL = 1e-10
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (0.75, True), (1.5, False), (2.0, False)])
+def test_state_norm_tolerance_boundary(sign, factor, accepted):
+    """A norm within NORM_ATOL of 1 is a state, one past it is not. Rounding
+    decides a bound moved to exactly 0.5x or 2x at the 0.5x and 2x cases, so
+    the 0.75x and 1.5x cases are the ones that refute it."""
+    amps = np.array([1.0 + sign * factor * DOCUMENTED_NORM_ATOL, 0.0])
+    if accepted:
+        State((2,), amps)
+    else:
+        with pytest.raises(ValueError, match="state norm"):
+            State((2,), amps)
+
+
 def test_basis_and_product_state():
     s = basis_state((2, 3), (1, 2))
     assert s.amps[5] == 1.0
@@ -272,6 +291,19 @@ def test_extract_subsystem_rejects_entangled_cut():
     bell = State((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
     with pytest.raises(EntangledSubsystemError):
         extract_subsystem(bell, 0)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (0.75, True), (1.5, False), (2.0, False)])
+def test_extract_subsystem_schmidt_tolerance_boundary(factor, accepted):
+    """cos t |00> + sin t |11> is a product within NORM_ATOL of its largest
+    Schmidt coefficient cos t, and entangled past it."""
+    c = 1.0 - factor * DOCUMENTED_NORM_ATOL
+    state = State((2, 2), np.array([c, 0.0, 0.0, math.sqrt(1.0 - c * c)]))
+    if accepted:
+        assert fidelity(extract_subsystem(state, 0), State((2,), np.array([1.0, 0.0]))) > 1.0 - 1e-9
+    else:
+        with pytest.raises(EntangledSubsystemError):
+            extract_subsystem(state, 0)
 
 
 def test_x_basis_vectors():
