@@ -122,15 +122,6 @@ def _reading_names(n: int) -> tuple:
     return tables
 
 
-def _runs(values: np.ndarray) -> tuple:
-    """Each run of equal neighbours once, and each entry's index into those
-    runs: the distinct values of a sorted array, found with no sort."""
-    change = np.empty(values.shape[0], dtype=bool)
-    change[:1] = True
-    np.not_equal(values[1:], values[:-1], out=change[1:])
-    return values[change], np.cumsum(change) - 1
-
-
 @dataclass(frozen=True)
 class ReadingTable:
     """A double-pe map from readings to one value column, as arrays: flat
@@ -188,12 +179,12 @@ class ReadingTable:
 
 def _double_pe(gate, shots, seed, n) -> dict:
     """The double-pe body, each of its three maps a :class:`ReadingTable`.
-    Every float they hold is formatted in one :func:`float_texts` call; the
-    distribution's distinct probabilities are read off its rank order."""
+    Every float they hold is formatted in one :func:`float_texts` call, the
+    distribution's probabilities once per distinct value."""
     report = run_double_pe(gate, n, shots=shots, seed=seed)
     z_a, z_b, _, fidelity_a, fidelity_b, _, _ = report.analysed
     fidelities = np.stack((fidelity_a, fidelity_b), axis=1)
-    distinct, inverse = _runs(report.ranked_probabilities)
+    distinct, inverse = np.unique(report.kept_probabilities, return_inverse=True)
     texts = float_texts(np.concatenate((distinct, fidelities.reshape(-1))))
     split = distinct.shape[0]
     histogram = None
@@ -206,7 +197,7 @@ def _double_pe(gate, shots, seed, n) -> dict:
         shots,
         histogram,
         exact_distribution=ReadingTable.keyed(
-            n, report.ranked, report.ranked_probabilities, texts[:split][inverse]
+            n, report.kept, report.kept_probabilities, texts[:split][inverse]
         ),
     )
 

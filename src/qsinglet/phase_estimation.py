@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import TWO_PI, eigendecompose_2x2_unitary, phase_distance, require_int, wrap_phase
 from .protocols import SPECTRUM_ATOL, SpectrumError
-from .register import PROB_FLOOR, State, apply_unitary, sample_counts, top_k
+from .register import PROB_FLOOR, State, apply_unitary, sample_counts, top_set
 from .singlet import network_output_state
 
 MAX_REGISTER_QUBITS = 10
@@ -80,9 +80,9 @@ def g_amplitude(z, grid: GridDecomposition):
     readings = readings.astype(np.int64, copy=False)
     numerator = 1.0 - np.exp(2j * np.pi * grid.delta * size)
     denominator = 1.0 - np.exp(2j * np.pi * ((grid.xbar - readings) / size + grid.delta))
-    # a zero denominator is only reachable at z = xbar with delta numerically
-    # 0, where the limit is 1
-    zero = denominator == 0.0
+    # a denominator below the smallest normal double is only reachable at z =
+    # xbar with delta 0 or subnormal, where the limit is 1 (dividing overflows)
+    zero = np.abs(denominator) < np.finfo(float).tiny
     amplitude = np.where(zero, 1.0 + 0.0j, numerator / np.where(zero, 1.0, denominator) / size)
     return complex(amplitude) if amplitude.ndim == 0 else amplitude
 
@@ -119,26 +119,26 @@ class PeBranch:
 
 @dataclass(frozen=True)
 class PeReport:
-    """Ranked joint readout distribution plus sampled shots.
+    """Kept joint readouts and their probabilities plus sampled shots.
 
     ``profiles`` holds the register amplitudes g_1 and g_2 of the two
-    eigenphases over all 2^n readings. ``ranked`` holds the flat indices
-    ``z_a * 2^n + z_b`` of the at most ``DISTRIBUTION_CAP`` most likely
-    readings above the probability floor, largest first and ties in index
-    order, and ``ranked_probabilities`` their joint probabilities.
+    eigenphases over all 2^n readings. ``kept`` holds the flat indices
+    ``z_a * 2^n + z_b``, ascending, of the at most ``DISTRIBUTION_CAP`` most
+    likely readings above the probability floor (ties across the cut to the
+    lower index), and ``kept_probabilities`` their joint probabilities.
     ``analysed`` holds the :class:`PeBranch` fields as seven arrays, one entry
-    per analysed reading; with shots, ``observed`` holds the observed flat
-    readings and their counts, most frequent first and ties in index order
-    (empty arrays without shots). ``branches``, ``joint_histogram`` and
-    ``exact_joint``, the dense 2^n x 2^n joint, are built on first read.
+    per analysed reading in flat order; with shots, ``observed`` holds the
+    observed flat readings, ascending, and their counts (empty arrays without
+    shots). ``branches``, ``joint_histogram`` and ``exact_joint``, the dense
+    2^n x 2^n joint, are built on first read.
     """
 
     n: int
     eigenphases: tuple
     grids: tuple
     profiles: tuple
-    ranked: np.ndarray
-    ranked_probabilities: np.ndarray
+    kept: np.ndarray
+    kept_probabilities: np.ndarray
     analysed: tuple
     observed: tuple
     shots_used: int
@@ -180,16 +180,6 @@ def _dense_joint(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return straight + straight.T
 
 
-def _joint_entries(g1: np.ndarray, g2: np.ndarray, z_a: np.ndarray, z_b: np.ndarray):
-    """(joint, straight) probabilities of readings (z_a, z_b).
-
-    Each entry is the same expression, in the same order, as in the dense
-    joint, so the values match :attr:`PeReport.exact_joint` bit for bit.
-    """
-    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
-    return straight + np.abs(g1[z_b] * g2[z_a]) ** 2 / 2.0, straight
-
-
 def _prefix_pairs(widths: np.ndarray):
     """Positions (a, b) with b < widths[a], row by row."""
     a = np.repeat(np.arange(widths.shape[0]), widths)
@@ -197,26 +187,18 @@ def _prefix_pairs(widths: np.ndarray):
     return a, b
 
 
-def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
-    """Flat indices and probabilities of the joint's top ``cap`` readings.
+def _candidates(g1: np.ndarray, g2: np.ndarray, cap: int) -> np.ndarray:
+    """Flat readings, ascending and closed under transposition, that hold the
+    joint's top ``cap`` readings.
 
-    Equal, bit for bit, to ``top_k(J, cap)`` for the dense joint J = S + S^T
-    and J's entries there. While 4^n <= cap (n <= 6 at the report's cap)
-    every reading is a candidate and the staircase below could prune none,
-    so that ``top_k`` is taken directly. Above, the ranking is read off the
-    two profiles. J >= S entrywise, so
-    J's cap-th largest value is at least S's, S_(cap), and every reading
-    ``top_k`` keeps has max(S_ab, S_ba) >= max(S_(cap), PROB_FLOOR) / 2. With
-    x = |g_1|^2 and y = |g_2|^2 sorted descending, product x_a y_b = 2 S_ab
-    has (a+1)(b+1) products at least as large, so the cap largest lie on the
-    staircase (a+1)(b+1) <= cap. Only the readings above the bound and their
-    transposes are evaluated, so memory stays O(2^n + candidates).
+    J = S + S^T >= S entrywise, so J's cap-th largest value is at least S's,
+    S_(cap), and every reading in J's top ``cap`` has max(S_ab, S_ba) >=
+    max(S_(cap), PROB_FLOOR) / 2. With x = |g_1|^2 and y = |g_2|^2 sorted
+    descending, product x_a y_b = 2 S_ab has (a+1)(b+1) products at least as
+    large, so the cap largest lie on the staircase (a+1)(b+1) <= cap. Only
+    the readings above the bound and their transposes are returned, so memory
+    stays O(2^n + candidates).
     """
-    size = g1.shape[0]
-    if size * size <= cap:
-        flat = _dense_joint(g1, g2).reshape(-1)
-        kept = top_k(flat, cap)
-        return kept, flat[kept]
     x, y = np.abs(g1) ** 2, np.abs(g2) ** 2
     order_x, order_y = np.argsort(-x), np.argsort(-y)
     xs, ys = x[order_x], y[order_y]
@@ -237,12 +219,34 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
     rows = np.count_nonzero(xs * ys[0] >= bound)
     a, b = _prefix_pairs(np.searchsorted(-ys, -bound / xs[:rows], side="right"))
     z_a, z_b = order_x[a], order_y[b]
-    # the peak pair always clears the bound, so there is at least one candidate
+    # the peak pair always clears the bound, so there is at least one candidate;
+    # np.unique would hash these integers, several times slower than this sort
+    size = g1.shape[0]
     candidates = np.sort(np.concatenate((z_a * size + z_b, z_b * size + z_a)))
-    candidates = candidates[np.concatenate(([True], candidates[1:] != candidates[:-1]))]
-    values, _ = _joint_entries(g1, g2, candidates // size, candidates % size)
-    kept = top_k(values, cap)
-    return candidates[kept], values[kept]
+    return candidates[np.concatenate(([True], candidates[1:] != candidates[:-1]))]
+
+
+def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
+    """Flat indices, ascending, and probabilities of the joint's top ``cap``
+    readings, and the flat dense joint J = S + S^T when it was built (else
+    None). Bit for bit ``top_set(J, cap)`` and J's entries there. While
+    4^n <= cap (n <= 6 at the report's cap) the staircase could prune no
+    reading, so J is built; above, only :func:`_candidates` are evaluated.
+    """
+    size = g1.shape[0]
+    if size * size <= cap:
+        joint = _dense_joint(g1, g2).reshape(-1)
+        kept = top_set(joint, cap)
+        return kept, joint[kept], joint
+    candidates = _candidates(g1, g2, cap)
+    z_a, z_b = np.divmod(candidates, size)
+    # S once per candidate, in the dense joint's expression. The transposed
+    # keys are the candidates again, so the order that sorts them puts each
+    # candidate's transpose at its position (faster than searchsorted)
+    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
+    values = straight + straight[np.argsort(z_b * size + z_a)]
+    kept = top_set(values, cap)
+    return candidates[kept], values[kept], None
 
 
 def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray) -> tuple:
@@ -251,11 +255,13 @@ def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray)
 
     Half A holds e1 with fidelity S / (S + S^T), half B with the rest; each
     half is matched to the eigenphase whose grid point is nearest its reading
-    (ties to the first).
+    (ties to the first). Each probability is the dense joint's expression, so
+    it matches :attr:`PeReport.exact_joint` bit for bit.
     """
     size = g1.shape[0]
     z_a, z_b = readings // size, readings % size
-    p, straight = _joint_entries(g1, g2, z_a, z_b)
+    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
+    p = straight + np.abs(g1[z_b] * g2[z_a]) ** 2 / 2.0
     share = straight / p
 
     def match(z):
@@ -276,14 +282,14 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
     joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
 
-    The top ``DISTRIBUTION_CAP`` readings are ranked from the two 2^n profiles,
-    forming the 4^n joint only while it has at most ``DISTRIBUTION_CAP``
-    entries. ``shots = 0`` analyzes the first
-    ``EXACT_BRANCH_CAP`` readings of ``ranked`` and allocates O(2^n) memory
+    The top ``DISTRIBUTION_CAP`` readings are selected from the two 2^n
+    profiles, forming the 4^n joint only while it has at most
+    ``DISTRIBUTION_CAP`` entries. ``shots = 0`` analyzes the
+    ``EXACT_BRANCH_CAP`` most likely of ``kept`` and allocates O(2^n) memory
     plus the candidates; positive ``shots`` samples readings from the dense
-    joint (``exact_joint``) and analyzes every distinct observed branch. Each
-    branch records the residual fidelity of both singlet halves against the
-    eigenvector matching its reading.
+    joint (``exact_joint``; the selection's own while n <= 6) and analyzes
+    every distinct observed branch. Each branch records the residual fidelity
+    of both singlet halves against the eigenvector matching its reading.
     """
     n = require_int(n, "register size")
     shots = require_int(shots, "shots", minimum=0)
@@ -294,15 +300,15 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     grids = tuple(nearest_grid(float(p), n) for p in phases)
     size = 2 ** n
     g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
-    # the order and the floor are the same at every cap, so the analysed
-    # branches are a prefix of the one ranking
-    ranked, probabilities = _rank_joint(g1, g2, DISTRIBUTION_CAP)
+    kept, probabilities, joint = _rank_joint(g1, g2, DISTRIBUTION_CAP)
     if shots > 0:
-        counts, _ = sample_counts(_dense_joint(g1, g2), shots, seed)
-        picked = top_k(counts, None)
+        counts, _ = sample_counts(_dense_joint(g1, g2) if joint is None else joint, shots, seed)
+        picked = np.flatnonzero(counts)
         observed = picked, counts[picked]
     else:
-        picked = ranked[:EXACT_BRANCH_CAP]
+        # the floor and the tie rule are the same at every cap, so the
+        # analysed readings are the most likely of the kept ones
+        picked = kept[top_set(probabilities, EXACT_BRANCH_CAP)]
         none = np.zeros(0, dtype=np.int64)
         observed = none, none
     return PeReport(
@@ -310,8 +316,8 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         eigenphases=tuple(float(p) for p in phases),
         grids=grids,
         profiles=(g1, g2),
-        ranked=ranked,
-        ranked_probabilities=probabilities,
+        kept=kept,
+        kept_probabilities=probabilities,
         analysed=_analyze(grids, g1, g2, picked),
         observed=observed,
         shots_used=shots,

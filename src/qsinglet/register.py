@@ -255,30 +255,21 @@ def sample_counts(probs, shots: int, seed: int):
     return counts, first
 
 
-def top_k(probs, cap) -> np.ndarray:
-    """Flat indices of the at most ``cap`` largest entries above PROB_FLOOR.
-
-    Largest first, ties in flat index order; ``cap=None`` keeps them all.
-    With more than ``cap`` candidates, a linear-time selection first keeps
-    those at or above the cap-th largest value (every tie at the cutoff, in
-    index order), so the sort that follows only sees about ``cap`` entries
-    and returns what a full sort would.
-    """
+def top_set(probs, cap) -> np.ndarray:
+    """Flat indices, ascending, of the at most ``cap`` largest entries above
+    PROB_FLOOR; ties across the cut go to the lower index. ``cap`` is a
+    positive int, or None to keep them all. A linear-time selection finds the
+    cap-th largest value, so nothing is sorted."""
     flat = np.asarray(probs).reshape(-1)
     keep = flat > PROB_FLOOR
-    if cap is not None and 0 < cap < np.count_nonzero(keep):
+    if cap is not None and cap < np.count_nonzero(keep):
         # the cap-th largest entry lies above the floor, and so does every
-        # entry at or above it
+        # entry above it; its ties fill the places left, lowest index first
         kth = flat.shape[0] - cap
-        keep = flat >= np.partition(flat, kth)[kth]
-    above = np.flatnonzero(keep)
-    # an unstable sort groups equal values; the keys (group, position) are
-    # distinct, so sorting them puts each group's ties in index order, as a
-    # stable sort would, at a fraction of its cost
-    order = np.argsort(-flat[above])
-    ordered = flat[above[order]]
-    group = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    return above[np.sort(group * above.shape[0] + order)[:cap] % above.shape[0]]
+        cut = np.partition(flat, kth)[kth]
+        keep = flat > cut
+        keep[np.flatnonzero(flat == cut)[: cap - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def extract_subsystem(state: State, subsystem: int) -> State:

@@ -41,7 +41,8 @@ from qsinglet.protocols import (
     protocol_square_trick,
 )
 from qsinglet.qudit import MAX_QUDIT_DIM
-from qsinglet.register import PROB_FLOOR, State
+from qsinglet.register import State
+from test_sampling import ranking_oracle
 
 SCHEMA = json.loads(
     resources.files("qsinglet").joinpath("report_schema.json").read_text()
@@ -216,14 +217,13 @@ class TestRunExperiment:
         }
         report = run_double_pe(resolve_gate(config["gate"]), 8)
         flat = report.exact_joint.reshape(-1)
-        above = [i for i in range(flat.shape[0]) if flat[i] > PROB_FLOOR]
-        ranked = sorted(above, key=lambda i: (-flat[i], i))
+        ranked = ranking_oracle(flat, 4097)
         assert flat[ranked[4095]] == flat[ranked[4096]]
         oracle = ranked[:4096]
-        # the library keeps the ranking; the report's map is in key order
-        assert report.ranked.tolist() == oracle
-        assert report.ranked_probabilities.tolist() == [float(flat[i]) for i in oracle]
-        assert report.ranked[-1] == 22 * 256 + 184
+        assert oracle[-1] == 22 * 256 + 184
+        # the library keeps the readings in flat order; the report's map is in key order
+        assert report.kept.tolist() == sorted(oracle)
+        assert report.kept_probabilities.tolist() == [float(flat[i]) for i in sorted(oracle)]
         distribution = run_experiment(config)["exact_distribution"]
         assert distribution == {f"{i // 256},{i % 256}": float(flat[i]) for i in oracle}
         assert "22,184" in distribution and "184,22" not in distribution

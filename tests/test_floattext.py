@@ -98,8 +98,8 @@ def test_reading_table_text_is_its_dict_report(n, probabilities, indent):
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_off_grid_double_pe_tables_need_no_fallback(n, fallback_values):
     report = run_double_pe(generate_gate(2, [0.7, 2.9], 13), n)
-    probabilities = report.ranked_probabilities
-    table = ReadingTable.keyed(n, report.ranked, probabilities, float_texts(probabilities))
+    probabilities = report.kept_probabilities
+    table = ReadingTable.keyed(n, report.kept, probabilities, float_texts(probabilities))
     assert len(np.unique(table.values)) > 1000
     assert table.json_text("  ") == report_json(table.as_dict(), "  ")
     assert fallback_values == []

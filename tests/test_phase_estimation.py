@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsinglet import phase_estimation
@@ -15,6 +15,7 @@ from qsinglet.phase_estimation import (
     DISTRIBUTION_CAP,
     PeBranch,
     _analyze,
+    _candidates,
     _dense_joint,
     _rank_joint,
     EXACT_BRANCH_CAP,
@@ -29,7 +30,8 @@ from qsinglet.phase_estimation import (
     run_double_pe,
 )
 from qsinglet.protocols import SpectrumError
-from qsinglet.register import PROB_FLOOR, State, sample_counts, top_k
+from qsinglet.register import PROB_FLOOR, State, sample_counts
+from test_sampling import ranking_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,6 +120,26 @@ class TestGAmplitude:
         for delta in rng.uniform(-half, half, size=300):
             grid = GridDecomposition(n, (3 + delta * 2 ** n) / 2 ** n, 3 % 2 ** n, delta)
             assert abs(g_amplitude(3 % 2 ** n, grid)) > PEAK_BOUND
+
+    @pytest.mark.parametrize("delta", [5e-324, -1e-310, 3.541315033e-314, 3e-309])
+    def test_subnormal_offset_gives_the_limit_at_the_peak(self, delta):
+        """At a subnormal offset the peak's denominator is subnormal, and
+        dividing by it would overflow; the peak is the limit 1 and every
+        other reading keeps the closed form."""
+        n = 5
+        grid = GridDecomposition(n, (3 + delta * 2 ** n) / 2 ** n, 3, delta)
+        profile = g_amplitude(np.arange(2 ** n), grid)
+        assert profile[3] == 1.0 and g_amplitude(3, grid) == 1.0
+        others = np.array([loop_amplitude(z, grid) for z in range(2 ** n) if z != 3])
+        assert np.array_equal(np.delete(profile, 3).view(float), others.view(float))
+        assert np.max(np.abs(profile - register_amplitudes(grid.x, n))) < 1e-12
+
+    @pytest.mark.parametrize("delta", [np.finfo(float).tiny, -1e-300, 1e-20])
+    def test_tiny_normal_offset_keeps_its_closed_form(self, delta):
+        n = 5
+        grid = GridDecomposition(n, (3 + delta * 2 ** n) / 2 ** n, 3, delta)
+        loop = np.array([loop_amplitude(z, grid) for z in range(2 ** n)])
+        assert np.array_equal(g_amplitude(np.arange(2 ** n), grid).view(float), loop.view(float))
 
     def test_rejects_out_of_range_reading(self):
         grid = nearest_grid(0.1, 2)
@@ -236,21 +258,28 @@ class TestRunDoublePe:
         u = gate_with_phases([1.0, 4.0], 8)
         report = run_double_pe(u, 4)
         assert 0 < len(report.branches) <= EXACT_BRANCH_CAP
-        probs = [b.probability for b in report.branches]
-        assert probs == sorted(probs, reverse=True)
+        readings = [b.z_a * 16 + b.z_b for b in report.branches]
+        assert readings == sorted(readings)
+        # no kept reading left out is more likely than an analysed one
+        lowest = min(b.probability for b in report.branches)
+        kept = dict(zip(report.kept.tolist(), report.kept_probabilities.tolist()))
+        assert all(p <= lowest for z, p in kept.items() if z not in readings)
 
     @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
     @pytest.mark.parametrize("offset", [0.0, 0.45])
     def test_ranks_once_and_analyses_a_prefix(self, n, offset):
+        """The kept readings are the first DISTRIBUTION_CAP of the dense
+        joint's ranking and the analysed ones its first EXACT_BRANCH_CAP,
+        both in flat order."""
         size = 2 ** n
         # readings 1 and 0, both shifted off the grid by `offset` of a step
         phases = [TWO_PI * (1 + offset) / size, TWO_PI * ((size - offset) % size) / size]
         u = gate_with_phases(phases, n)
         report = run_double_pe(u, n)
-        assert report.ranked.tolist() == top_k(report.exact_joint, DISTRIBUTION_CAP).tolist()
+        ranking = ranking_oracle(report.exact_joint, DISTRIBUTION_CAP)
+        assert report.kept.tolist() == sorted(ranking)
         readings = [b.z_a * size + b.z_b for b in report.branches]
-        assert readings == report.ranked[:EXACT_BRANCH_CAP].tolist()
-        assert readings == top_k(report.exact_joint, EXACT_BRANCH_CAP).tolist()
+        assert readings == sorted(ranking[:EXACT_BRANCH_CAP])
 
     def test_sampling_determinism_and_counts(self):
         u = gate_with_phases([0.5, 2.5], 3)
@@ -299,11 +328,18 @@ class TestRunDoublePe:
         assert nearest_grid(0.5, np.int8(4)) == nearest_grid(0.5, 4)
 
 
-def dense_top_k(report):
-    """Flat indices ``top_k`` keeps in the dense joint, and their entries."""
-    flat = report.exact_joint.reshape(-1)
-    kept = top_k(flat, DISTRIBUTION_CAP)
+def dense_top(joint, cap=DISTRIBUTION_CAP):
+    """Flat indices, ascending, of the ``cap`` most likely readings of a
+    dense joint by the plain-Python ranking, and their entries."""
+    flat = joint.reshape(-1)
+    kept = np.array(sorted(ranking_oracle(flat, cap)), dtype=np.int64)
     return kept, flat[kept]
+
+
+def assert_keeps_the_dense_top(report):
+    kept, values = dense_top(report.exact_joint)
+    assert report.kept.tolist() == kept.tolist()
+    assert report.kept_probabilities.tobytes() == values.tobytes()
 
 
 def grid_phases(n, spectrum, seed):
@@ -335,30 +371,26 @@ SPECIAL_RANKINGS = {
 
 
 class TestProfileRanking:
-    """The ranking read off the two profiles against the dense joint's."""
+    """The readings selected from the two profiles against the dense joint's."""
 
     @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
     @pytest.mark.parametrize("spectrum", ["on", "off"])
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_dense_top_k(self, n, spectrum, seed):
         report = run_double_pe(gate_with_phases(grid_phases(n, spectrum, seed), seed), n)
-        kept, values = dense_top_k(report)
-        assert report.ranked.tolist() == kept.tolist()
-        assert report.ranked_probabilities.tobytes() == values.tobytes()
+        assert_keeps_the_dense_top(report)
 
     @pytest.mark.parametrize("case", sorted(SPECIAL_RANKINGS))
     def test_matches_dense_top_k_on_edge_cases(self, case):
         u, n = SPECIAL_RANKINGS[case]
         report = run_double_pe(u, n)
-        kept, values = dense_top_k(report)
-        assert report.ranked.tolist() == kept.tolist()
-        assert report.ranked_probabilities.tobytes() == values.tobytes()
+        assert_keeps_the_dense_top(report)
         g1, g2 = report.profiles
         if case.startswith("zero"):
             assert np.count_nonzero(g1 == 0) and np.count_nonzero(g2 == 0)
         if case == "tie-at-cutoff":
             flat = report.exact_joint.reshape(-1)
-            beyond = top_k(flat, DISTRIBUTION_CAP + 1)
+            beyond = ranking_oracle(flat, DISTRIBUTION_CAP + 1)
             assert flat[beyond[-2]] == flat[beyond[-1]]
 
     @pytest.mark.parametrize("kind", ["uniform", "steep", "three-level", "exponential"])
@@ -381,11 +413,10 @@ class TestProfileRanking:
             if kind != "three-level":
                 assert np.all(magnitude > 0.0)
             g1, g2 = magnitude * np.exp(2j * np.pi * rng.random((2, size)))
-            ranked, values = _rank_joint(g1, g2, cap)
-            flat = _dense_joint(g1, g2).reshape(-1)
-            kept = top_k(flat, cap)
-            assert ranked.tolist() == kept.tolist()
-            assert values.tobytes() == flat[kept].tobytes()
+            selected, values, _ = _rank_joint(g1, g2, cap)
+            kept, entries = dense_top(_dense_joint(g1, g2), cap)
+            assert selected.tolist() == kept.tolist()
+            assert values.tobytes() == entries.tobytes()
 
     @pytest.mark.parametrize("shots", [0, 1000])
     @pytest.mark.parametrize(
@@ -415,7 +446,7 @@ class TestProfileRanking:
             assert {(b.z_a, b.z_b) for b in report.branches} == set(report.joint_histogram)
         else:
             assert [b.z_a * size + b.z_b for b in report.branches] == (
-                report.ranked[:EXACT_BRANCH_CAP].tolist()
+                dense_top(joint, EXACT_BRANCH_CAP)[0].tolist()
             )
         assert report.branches
         for b in report.branches:
@@ -477,14 +508,21 @@ class TestRankingRegimes:
 
     @settings(max_examples=60, deadline=None)
     @given(case=profile_cases())
+    # a subnormal grid offset, which makes the peak's denominator subnormal
+    @example(case=(5, [2.2250738585e-313, 1.0], 4 ** 5))
     def test_both_regimes_equal_dense_top_k(self, case):
         n, phases, cap = case
         g1, g2 = profile_pair(n, phases)
-        ranked, values = _rank_joint(g1, g2, cap)
-        flat = _dense_joint(g1, g2).reshape(-1)
-        kept = top_k(flat, cap)
-        assert ranked.tolist() == kept.tolist()
-        assert values.tobytes() == flat[kept].tobytes()
+        selected, values, joint = _rank_joint(g1, g2, cap)
+        dense = _dense_joint(g1, g2).reshape(-1)
+        kept, entries = dense_top(dense, cap)
+        assert selected.tolist() == kept.tolist()
+        assert values.tobytes() == entries.tobytes()
+        # the dense regime hands its joint on, so a sampler need not rebuild it
+        if 4 ** n <= cap:
+            assert joint.tobytes() == dense.tobytes()
+        else:
+            assert joint is None
 
     def test_register_size_picks_the_regime(self, monkeypatch):
         widths = []
@@ -517,30 +555,19 @@ class TestRankSlack:
         """Fewer than the cap readings clear the floor here, so the bound is
         PROB_FLOOR itself. Reading (0, 0) has J = |g_1 g_2|^2 one ulp above
         it while |g_1|^2 |g_2|^2 rounds below it, so with no slack the
-        staircase would not evaluate a reading that ``top_k`` keeps."""
+        staircase would not evaluate a reading the dense joint keeps."""
         u = np.diag([complex(0.9999999999957493, 2.9157285942466027e-06),
                      complex(0.9700311937077197, 0.24298041738785503)])
         report = run_double_pe(u, 7)
-        kept, values = dense_top_k(report)
-        assert report.ranked.tolist() == kept.tolist()
-        assert report.ranked_probabilities.tobytes() == values.tobytes()
-        assert len(kept) < DISTRIBUTION_CAP and 0 in kept.tolist()
+        assert_keeps_the_dense_top(report)
+        assert len(report.kept) < DISTRIBUTION_CAP and 0 in report.kept.tolist()
 
     @pytest.mark.parametrize("n", [7, 8, 10])
-    def test_evaluates_no_reading_far_below_the_bound(self, n, monkeypatch):
+    def test_evaluates_no_reading_far_below_the_bound(self, n):
         """Every reading the staircase evaluates reaches within 1e-6 of its
         bound max(P_(cap) / 2, PROB_FLOOR), P = |g_1|^2 (x) |g_2|^2."""
-        seen = []
-        real = phase_estimation._joint_entries
-
-        def spy(g1, g2, z_a, z_b):
-            seen.append((z_a, z_b))
-            return real(g1, g2, z_a, z_b)
-
-        monkeypatch.setattr(phase_estimation, "_joint_entries", spy)
         g1, g2 = profile_pair(n, [0.7, 2.9])
-        _rank_joint(g1, g2, DISTRIBUTION_CAP)
-        ((z_a, z_b),) = seen
+        z_a, z_b = np.divmod(_candidates(g1, g2, DISTRIBUTION_CAP), 2 ** n)
         x, y = np.abs(g1) ** 2, np.abs(g2) ** 2
         products = np.outer(x, y).reshape(-1)
         kth = products.shape[0] - DISTRIBUTION_CAP
@@ -561,10 +588,10 @@ class TestLazyBranches:
         size = 2 ** n
         if shots:
             counts, _ = sample_counts(report.exact_joint, shots, seed)
-            picked = top_k(counts, None)
+            picked = np.flatnonzero(counts)
             histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
         else:
-            picked = report.ranked[:EXACT_BRANCH_CAP]
+            picked = dense_top(report.exact_joint, EXACT_BRANCH_CAP)[0]
             histogram = {}
         columns = _analyze(report.grids, *report.profiles, picked)
         branches = tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in columns)))

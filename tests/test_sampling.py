@@ -1,4 +1,4 @@
-"""Tests for the shared shot sampler and top-K ranking helper."""
+"""Tests for the shared shot sampler and the top-K selection helper."""
 
 import math
 
@@ -11,7 +11,7 @@ from qsinglet import register
 from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
 from qsinglet.phase_estimation import run_double_pe
 from qsinglet.protocols import protocol_known_phases
-from qsinglet.register import PROB_FLOOR, sample_counts, top_k
+from qsinglet.register import PROB_FLOOR, sample_counts, top_set
 
 
 def single_call(probs, shots, seed):
@@ -83,34 +83,51 @@ def test_double_pe_histogram_is_chunk_independent(monkeypatch):
     counts, first = single_call(chunked.exact_joint, 100, 5)
     expected = {divmod(i, 8): c for i, c in enumerate(counts) if c}
     assert chunked.joint_histogram == expected == whole.joint_histogram
-    ranked = sorted(expected, key=lambda zz: (-expected[zz], zz))
-    assert [(b.z_a, b.z_b) for b in chunked.branches] == ranked
+    assert [(b.z_a, b.z_b) for b in chunked.branches] == list(expected)
     assert divmod(first, 8) in expected
 
 
 def ranking_oracle(joint, cap):
-    flat = joint.reshape(-1)
-    above = [i for i in range(flat.shape[0]) if flat[i] > PROB_FLOOR]
+    """Plain-Python ranking: the flat indices of the entries above the floor,
+    largest first and ties in index order, cut after ``cap``."""
+    flat = np.asarray(joint).reshape(-1).tolist()
+    above = [i for i, p in enumerate(flat) if p > PROB_FLOOR]
     return sorted(above, key=lambda i: (-flat[i], i))[:cap]
 
 
 @pytest.mark.parametrize("cap", [64, 4096, None])
 def test_top_k_matches_sorted_oracle(cap):
+    """``top_set`` keeps the oracle's top ``cap`` entries, in index order."""
     rng = np.random.default_rng(9)
     # few distinct values so ties are everywhere, plus entries at, just above
     # and below the floor
     values = np.array([0.0, PROB_FLOOR, 2 * PROB_FLOOR, 0.5 * PROB_FLOOR, 1e-6, 3e-5, 3e-5 + 1e-17])
     joint = rng.choice(values, size=(96, 96))
-    got = top_k(joint, cap).tolist()
-    assert got == ranking_oracle(joint, cap)
+    got = top_set(joint, cap).tolist()
+    assert got == sorted(ranking_oracle(joint, cap))
     assert len(got) == min(cap or math.inf, int(np.count_nonzero(joint > PROB_FLOOR)))
     assert all(joint.reshape(-1)[i] > PROB_FLOOR for i in got)
 
 
 def test_top_k_on_counts_orders_by_count_then_index():
+    """Counts are selected by count, ties by index, and kept in index order."""
     counts = np.array([0, 3, 1, 3, 0, 5, 1])
-    assert top_k(counts, None).tolist() == [5, 1, 3, 2, 6]
-    assert top_k(counts, 2).tolist() == [5, 1]
+    assert top_set(counts, None).tolist() == [1, 2, 3, 5, 6]
+    assert top_set(counts, 2).tolist() == [1, 5]
+    assert top_set(counts, 4).tolist() == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize("cap", [5, 6, 100, None])
+def test_top_set_with_a_cap_at_or_above_the_count_keeps_every_entry_above_the_floor(cap):
+    probs = np.array([0.5, PROB_FLOOR, 0.0, 0.2, 1e-3, np.nextafter(PROB_FLOOR, 1.0), 0.2])
+    assert top_set(probs, cap).tolist() == sorted(ranking_oracle(probs, cap)) == [0, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("cap", [1, 64, None])
+def test_top_set_keeps_nothing_when_every_entry_is_at_or_below_the_floor(cap):
+    probs = np.array([0.0, PROB_FLOOR, np.nextafter(PROB_FLOOR, 0.0), 1e-300])
+    assert top_set(probs, cap).tolist() == ranking_oracle(probs, cap) == []
+    assert top_set(np.zeros((4, 4)), cap).tolist() == []
 
 
 # zero, the floor and its two neighbouring doubles
@@ -135,4 +152,4 @@ def test_top_k_matches_oracle_with_ties_across_the_cap(size_bits, symmetric, cap
         probs = upper + np.triu(upper, 1).T
     else:
         probs = rng.choice(values, size=2 ** size_bits)
-    assert top_k(probs, cap).tolist() == ranking_oracle(probs, cap)
+    assert top_set(probs, cap).tolist() == sorted(ranking_oracle(probs, cap))
