@@ -174,9 +174,16 @@ def double_pe_output_state(u: np.ndarray, n: int) -> State:
     return inverse_qft(state, range(n, 2 * n))
 
 
+def _weight(g1_za: np.ndarray, g2_zb: np.ndarray) -> np.ndarray:
+    """S = |g_1(z_a) g_2(z_b)|^2 / 2 from the two amplitudes, broadcast. Every
+    joint entry is taken through this one expression, so the dense joint, the
+    ranking and the analysed branches agree bit for bit."""
+    return np.abs(g1_za * g2_zb) ** 2 / 2.0
+
+
 def _dense_joint(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """Joint S + S^T with S = |g_1(z_a) g_2(z_b)|^2 / 2 over all 4^n readings."""
-    straight = np.abs(np.outer(g1, g2)) ** 2 / 2.0
+    straight = _weight(g1[:, None], g2)
     return straight + straight.T
 
 
@@ -240,10 +247,10 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
         return kept, joint[kept], joint
     candidates = _candidates(g1, g2, cap)
     z_a, z_b = np.divmod(candidates, size)
-    # S once per candidate, in the dense joint's expression. The transposed
-    # keys are the candidates again, so the order that sorts them puts each
-    # candidate's transpose at its position (faster than searchsorted)
-    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
+    # S once per candidate. The transposed keys are the candidates again, so
+    # the order that sorts them puts each candidate's transpose at its
+    # position (faster than searchsorted)
+    straight = _weight(g1[z_a], g2[z_b])
     values = straight + straight[np.argsort(z_b * size + z_a)]
     kept = top_set(values, cap)
     return candidates[kept], values[kept], None
@@ -255,13 +262,13 @@ def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray)
 
     Half A holds e1 with fidelity S / (S + S^T), half B with the rest; each
     half is matched to the eigenphase whose grid point is nearest its reading
-    (ties to the first). Each probability is the dense joint's expression, so
+    (ties to the first). Each probability is summed as the dense joint's, so
     it matches :attr:`PeReport.exact_joint` bit for bit.
     """
     size = g1.shape[0]
     z_a, z_b = readings // size, readings % size
-    straight = np.abs(g1[z_a] * g2[z_b]) ** 2 / 2.0
-    p = straight + np.abs(g1[z_b] * g2[z_a]) ** 2 / 2.0
+    straight = _weight(g1[z_a], g2[z_b])
+    p = straight + _weight(g1[z_b], g2[z_a])
     share = straight / p
 
     def match(z):

@@ -258,11 +258,11 @@ def sample_counts(probs, shots: int, seed: int):
 def top_set(probs, cap) -> np.ndarray:
     """Flat indices, ascending, of the at most ``cap`` largest entries above
     PROB_FLOOR; ties across the cut go to the lower index. ``cap`` is a
-    positive int, or None to keep them all. A linear-time selection finds the
-    cap-th largest value, so nothing is sorted."""
+    positive int. A linear-time selection finds the cap-th largest value, so
+    nothing is sorted."""
     flat = np.asarray(probs).reshape(-1)
     keep = flat > PROB_FLOOR
-    if cap is not None and cap < np.count_nonzero(keep):
+    if cap < np.count_nonzero(keep):
         # the cap-th largest entry lies above the floor, and so does every
         # entry above it; its ties fill the places left, lowest index first
         kth = flat.shape[0] - cap

@@ -508,13 +508,17 @@ def test_cli_writes_the_run_experiment_report_for_double_pe(config):
         assert_cli_writes_run_experiment_report(Path(tmp), config)
 
 
-@pytest.mark.parametrize("n", [3, 6, 8])
+# n = 6 is the largest register whose readings are selected from the dense
+# joint, n = 7 the smallest selected from the two profiles
+@pytest.mark.parametrize("n", [3, 6, 7, 8])
 @pytest.mark.parametrize("shots", [0, 1, 1000])
 def test_double_pe_maps_are_the_library_report(n, shots):
     """The fidelities and histogram written from arrays are the library's
-    branches and joint histogram: half A's fidelity first, counts as ints."""
+    branches and joint histogram: half A's fidelity first, counts as ints.
+    Every reading of this off-grid gate clears the floor, so the map is full."""
     config = dict(OFF_GRID_DOUBLE_PE, shots=shots, params={"n": n})
     report = run_experiment(config)
+    assert len(report["exact_distribution"]) == min(4 ** n, 4096)
     library = run_double_pe(resolve_gate(config["gate"]), n, shots=shots, seed=config["seed"])
     assert report["fidelities"] == {
         f"{b.z_a},{b.z_b}": [b.fidelity_a, b.fidelity_b] for b in library.branches
@@ -644,6 +648,23 @@ class TestMain:
         jsonschema.validate(report, SCHEMA)
         assert any("unknown protocol" in e for e in report["errors"])
         assert "unknown protocol" in captured.err
+
+    def test_gen_gate_file_and_generator_source_give_one_report(self, tmp_path, capsys):
+        """A gate written by gen-gate and the same arguments as run's
+        generator source give the same gate. Tomography's estimate reads the
+        gate's entries, where pm1's report reads only its eigenphases."""
+        source = {"dim": 2, "phases": [0.0, np.pi], "seed": 7}
+        gate = tmp_path / "gate.json"
+        assert run_cli(["gen-gate", "--dim", 2, "--phases", 0.0, np.pi, "--seed", 7,
+                        "--out", gate]) == 0
+        config = write_config(tmp_path, {"protocol": "tomography", "gate": source, "shots": 100})
+        generated, from_file = tmp_path / "generated.json", tmp_path / "from-file.json"
+        assert run_cli(["run", "--config", config, "--out", generated]) == 0
+        assert run_cli(["run", "--config", config, "--gate", gate, "--out", from_file]) == 0
+        reports = [json.loads(path.read_text()) for path in (generated, from_file)]
+        for report in reports:
+            del report["meta"], report["config"]
+        assert reports[0] == reports[1]
 
     def test_run_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["run", "--config", tmp_path / "absent.json"]) == 1

@@ -78,7 +78,7 @@ def test_exact_pattern_distribution_frozen_d3():
     assert dist["-x,-x"] <= 1e-12
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_patterns_uniform_over_allowed(d):
     u = householder_reflection(random_direction(d, 5 + d))
     dist = run_qudit_minus_one(u, shots=0).exact_distribution

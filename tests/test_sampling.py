@@ -1,7 +1,5 @@
 """Tests for the shared shot sampler and the top-K selection helper."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,7 +93,7 @@ def ranking_oracle(joint, cap):
     return sorted(above, key=lambda i: (-flat[i], i))[:cap]
 
 
-@pytest.mark.parametrize("cap", [64, 4096, None])
+@pytest.mark.parametrize("cap", [64, 4096, 96 * 96])
 def test_top_k_matches_sorted_oracle(cap):
     """``top_set`` keeps the oracle's top ``cap`` entries, in index order."""
     rng = np.random.default_rng(9)
@@ -105,25 +103,25 @@ def test_top_k_matches_sorted_oracle(cap):
     joint = rng.choice(values, size=(96, 96))
     got = top_set(joint, cap).tolist()
     assert got == sorted(ranking_oracle(joint, cap))
-    assert len(got) == min(cap or math.inf, int(np.count_nonzero(joint > PROB_FLOOR)))
+    assert len(got) == min(cap, int(np.count_nonzero(joint > PROB_FLOOR)))
     assert all(joint.reshape(-1)[i] > PROB_FLOOR for i in got)
 
 
 def test_top_k_on_counts_orders_by_count_then_index():
     """Counts are selected by count, ties by index, and kept in index order."""
     counts = np.array([0, 3, 1, 3, 0, 5, 1])
-    assert top_set(counts, None).tolist() == [1, 2, 3, 5, 6]
+    assert top_set(counts, counts.size).tolist() == [1, 2, 3, 5, 6]
     assert top_set(counts, 2).tolist() == [1, 5]
     assert top_set(counts, 4).tolist() == [1, 2, 3, 5]
 
 
-@pytest.mark.parametrize("cap", [5, 6, 100, None])
+@pytest.mark.parametrize("cap", [5, 6, 7, 100])
 def test_top_set_with_a_cap_at_or_above_the_count_keeps_every_entry_above_the_floor(cap):
     probs = np.array([0.5, PROB_FLOOR, 0.0, 0.2, 1e-3, np.nextafter(PROB_FLOOR, 1.0), 0.2])
     assert top_set(probs, cap).tolist() == sorted(ranking_oracle(probs, cap)) == [0, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("cap", [1, 64, None])
+@pytest.mark.parametrize("cap", [1, 16, 64])
 def test_top_set_keeps_nothing_when_every_entry_is_at_or_below_the_floor(cap):
     probs = np.array([0.0, PROB_FLOOR, np.nextafter(PROB_FLOOR, 0.0), 1e-300])
     assert top_set(probs, cap).tolist() == ranking_oracle(probs, cap) == []
@@ -138,7 +136,7 @@ FLOOR_ADJACENT = [0.0, np.nextafter(PROB_FLOOR, 0.0), PROB_FLOOR, np.nextafter(P
 @given(
     size_bits=st.integers(0, 16),
     symmetric=st.booleans(),
-    cap=st.sampled_from([1, 64, 4096, None]),
+    cap=st.sampled_from([1, 64, 4096, 2 ** 16]),
     pool=st.lists(st.floats(1e-13, 1.0), min_size=1, max_size=4),
     seed=st.integers(0, 2 ** 32 - 1),
 )
