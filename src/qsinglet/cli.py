@@ -288,7 +288,8 @@ def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 def validate_config(config: dict) -> dict:
     """Type- and range-check a merged config; returns it unchanged on success."""
     protocol = config["protocol"]
-    if protocol not in PROTOCOLS:
+    # a list or dict is unhashable, so test the type before membership
+    if not isinstance(protocol, str) or protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}")
     require_int(config["shots"], "shots", minimum=0, maximum=MAX_SHOTS)
     require_int(config["seed"], "seed", minimum=0, maximum=MAX_SEED - 1)

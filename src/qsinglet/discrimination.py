@@ -4,6 +4,9 @@ Implements the optimal equal-prior POVM: two rank-1 conclusive elements
 proportional to the projectors onto the orthogonal complements of the wrong
 state, plus an inconclusive remainder. A conclusive click is never wrong;
 the price is a nonzero failure probability equal to the state overlap.
+
+No run builds this POVM: known-phases reads its closed form, and the tests
+check that form against these elements.
 """
 
 from __future__ import annotations
@@ -13,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import UNITARY_ATOL, dagger, qubit_perp
+from .protocols import FAIL_LABEL
 from .register import as_amplitudes
-
-FAIL_LABEL = "fail"
-
-
-def equatorial_state(theta: float) -> np.ndarray:
-    """Qubit state (|0> + e^{i theta}|1>)/sqrt(2)."""
-    return np.array([1.0, np.exp(1j * float(theta))], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,3 @@ def build_idp_povm(v1, v2) -> Povm:
     e2 = scale * np.outer(perp_a, np.conjugate(perp_a))
     fail = np.eye(2) - e1 - e2
     return Povm((e1, e2, fail), ("v1", "v2", FAIL_LABEL))
-
-
-def idp_success_probability(theta1: float, theta2: float) -> float:
-    """Conclusive probability for equatorial states at phases theta1, theta2.
-
-    Equals 1 - |<v1|v2>| = 1 - sqrt((1 + cos(theta1 - theta2)) / 2).
-    """
-    inner = max(0.0, (1.0 + np.cos(float(theta1) - float(theta2))) / 2.0)
-    return float(1.0 - np.sqrt(inner))

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import FAIL_LABEL, equatorial_state
 from .linalg import (
     SpectrumError,
     eigendecompose_2x2_unitary,
@@ -31,6 +30,13 @@ from .register import PROB_FLOOR, State, sample_counts, x_pattern_labels
 from .singlet import network_output_state, singlet_network
 
 SPECTRUM_ATOL = 1e-8
+# known-phases' inconclusive outcome
+FAIL_LABEL = "fail"
+
+
+def equatorial_state(theta: float) -> np.ndarray:
+    """Qubit state (|0> + e^{i theta}|1>)/sqrt(2)."""
+    return np.array([1.0, np.exp(1j * float(theta))], dtype=complex) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -230,18 +236,6 @@ def protocol_known_phases(
 
 
 ETA_LABELS = ("eta(1)", "eta(i)", "eta(-1)", "eta(-i)")
-
-
-def _eta_amps(z: complex) -> np.ndarray:
-    """Two-qubit pointer state (|00> + z|01> + z^2|10> + z^3|11>)/2, |z| = 1."""
-    return np.array([1.0, z, z ** 2, z ** 3], dtype=complex) / 2.0
-
-
-def eta_basis():
-    """Orthonormal basis {eta(i^k)} of two qubits, labels eta(1), eta(i), ..."""
-    vectors = [_eta_amps(1j ** k) for k in range(4)]
-    labels = list(ETA_LABELS)
-    return np.stack(vectors), labels
 
 
 # two control qubits on the first singlet party (wire 2): control 1 applies

@@ -3,6 +3,10 @@
 A register is an ordered list of subsystem dimensions. Amplitudes are stored
 as one dense complex vector indexed in mixed radix with the first listed
 subsystem as the most significant digit, matching ``np.kron``.
+
+The simulator is the acceptance tests' reference for the closed forms. The
+run path uses only ``PROB_FLOOR``, :func:`sample_counts`, :func:`top_set`
+and :func:`x_pattern_labels` from this module.
 """
 
 from __future__ import annotations
@@ -92,14 +96,6 @@ def as_amplitudes(x) -> np.ndarray:
     if isinstance(x, State):
         return x.amps
     return np.asarray(x, dtype=complex).reshape(-1)
-
-
-def fidelity(a, b) -> float:
-    """Squared overlap |<a|b>|^2 of two pure states of equal size."""
-    va, vb = as_amplitudes(a), as_amplitudes(b)
-    if va.shape != vb.shape:
-        raise ValueError(f"size mismatch: {va.shape} vs {vb.shape}")
-    return float(abs(np.vdot(va, vb)) ** 2)
 
 
 def _check_targets(dims, targets):
@@ -307,29 +303,7 @@ def plus_x() -> np.ndarray:
     return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def minus_x() -> np.ndarray:
-    """Qubit |-x> = (|0> - |1>)/sqrt(2)."""
-    return np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
 X_LABELS = ("+x", "-x")
-
-
-def x_pattern_basis(qubits: int):
-    """Product +-x basis on ``qubits`` qubits, labels like "+x,-x,...".
-
-    Pattern index runs in binary with +x as 0 and -x as 1, first qubit most
-    significant, matching the register index convention.
-    """
-    single = np.stack([plus_x(), minus_x()])
-    # row p, column i of each step is the previous step's entry times a
-    # single-qubit entry, in that order: the multiplications a chain of
-    # np.kron calls makes, so the rows match it bit for bit
-    basis = np.ones((1, 1), dtype=complex)
-    for _ in range(qubits):
-        rows, cols = basis.shape
-        basis = (basis[:, None, :, None] * single[None, :, None, :]).reshape(2 * rows, 2 * cols)
-    return basis, x_pattern_labels(qubits)
 
 
 def x_pattern_labels(qubits: int) -> list:

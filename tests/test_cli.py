@@ -84,9 +84,13 @@ class TestConfigHandling:
             load_config(path)
 
     def test_validate_config_unknown_protocol(self):
-        config = dict(PM1_CONFIG, protocol="bogus")
-        with pytest.raises(ValueError, match="unknown protocol 'bogus'"):
-            validate_config(config)
+        # a list or dict is unhashable: it must still get the same text
+        for protocol in ("bogus", None, 3, ["pm1"], {"pm1": 1}):
+            config = dict(PM1_CONFIG, protocol=protocol)
+            expected = f"unknown protocol {protocol!r}; choose from {', '.join(PROTOCOLS)}"
+            with pytest.raises(ValueError) as refusal:
+                validate_config(config)
+            assert str(refusal.value) == expected
 
     def test_validate_config_param_contracts(self):
         with pytest.raises(ValueError, match="requires params"):
@@ -170,8 +174,9 @@ class TestRunExperiment:
         assert "histogram" not in report
 
     def test_unknown_protocol_raises(self):
-        with pytest.raises(ValueError):
-            run_experiment(dict(PM1_CONFIG, protocol="nope"))
+        for protocol in ("nope", ["pm1"], {"pm1": 1}):
+            with pytest.raises(ValueError, match="unknown protocol"):
+                run_experiment(dict(PM1_CONFIG, protocol=protocol))
 
     def test_tomography_carries_estimate(self):
         config = {
@@ -641,13 +646,14 @@ class TestMain:
         assert "histogram" not in report
 
     def test_run_error_report(self, tmp_path, capsys):
-        path = write_config(tmp_path, dict(PM1_CONFIG, protocol="bogus"))
-        assert run_cli(["run", "--config", path]) == 1
-        captured = capsys.readouterr()
-        report = json.loads(captured.out)
-        jsonschema.validate(report, SCHEMA)
-        assert any("unknown protocol" in e for e in report["errors"])
-        assert "unknown protocol" in captured.err
+        for protocol in ("bogus", ["pm1"], {"pm1": 1}):
+            path = write_config(tmp_path, dict(PM1_CONFIG, protocol=protocol))
+            assert run_cli(["run", "--config", path]) == 1
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            jsonschema.validate(report, SCHEMA)
+            assert report["errors"][0].startswith(f"unknown protocol {protocol!r}; choose from ")
+            assert "unknown protocol" in captured.err
 
     def test_gen_gate_file_and_generator_source_give_one_report(self, tmp_path, capsys):
         """A gate written by gen-gate and the same arguments as run's

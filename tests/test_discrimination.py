@@ -3,14 +3,10 @@
 import numpy as np
 import pytest
 
-from qsinglet.discrimination import (
-    FAIL_LABEL,
-    Povm,
-    build_idp_povm,
-    equatorial_state,
-    idp_success_probability,
-)
+from qsinglet.discrimination import Povm, build_idp_povm
+from qsinglet.protocols import FAIL_LABEL, equatorial_state
 from qsinglet.register import sample_counts
+from dense_reference import idp_success_probability
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qsinglet import phase_estimation
 from qsinglet.cli import resolve_gate
-from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
+from qsinglet.linalg import generate_gate
 from qsinglet.phase_estimation import (
     DISTRIBUTION_CAP,
     PeBranch,
@@ -34,11 +34,6 @@ from qsinglet.register import PROB_FLOOR, State, sample_counts
 from test_sampling import ranking_oracle
 
 TWO_PI = 2.0 * math.pi
-
-
-def gate_with_phases(phases, seed):
-    basis = haar_random_unitary(2, seed)
-    return unitary_from_eigensystem(EigenSystem(basis, np.array(phases, dtype=float)))
 
 
 def register_amplitudes(x, n):
@@ -202,7 +197,7 @@ class TestRunDoublePe:
     def test_on_grid_support_and_fidelities(self):
         n = 3
         xbar1, xbar2 = 1, 5
-        u = gate_with_phases([TWO_PI * xbar1 / 8, TWO_PI * xbar2 / 8], 2)
+        u = generate_gate(2, [TWO_PI * xbar1 / 8, TWO_PI * xbar2 / 8], 2)
         report = run_double_pe(u, n)
         joint = report.exact_joint
         assert abs(joint[xbar1, xbar2] - 0.5) <= 1e-10
@@ -225,7 +220,7 @@ class TestRunDoublePe:
         n = 3
         rng = np.random.default_rng(seed)
         phases = np.sort(rng.uniform(0.1, TWO_PI - 0.1, size=2))
-        u = gate_with_phases(phases, 60 + seed)
+        u = generate_gate(2, phases, 60 + seed)
         report = run_double_pe(u, n)
         a1 = register_amplitudes(report.eigenphases[0] / TWO_PI, n)
         a2 = register_amplitudes(report.eigenphases[1] / TWO_PI, n)
@@ -237,7 +232,7 @@ class TestRunDoublePe:
 
     def test_branch_fidelity_matches_amplitude_ratio(self):
         n = 2
-        u = gate_with_phases([0.7, 3.9], 11)
+        u = generate_gate(2, [0.7, 3.9], 11)
         report = run_double_pe(u, n)
         a = [register_amplitudes(p / TWO_PI, n) for p in report.eigenphases]
         for branch in report.branches[:4]:
@@ -247,7 +242,7 @@ class TestRunDoublePe:
             assert abs(branch.fidelity_a - expected) < 1e-10
 
     def test_grids_follow_eigenphases(self):
-        u = gate_with_phases([1.0, 4.0], 7)
+        u = generate_gate(2, [1.0, 4.0], 7)
         report = run_double_pe(u, 4)
         for phase, grid in zip(report.eigenphases, report.grids):
             reference = nearest_grid(phase, 4)
@@ -255,7 +250,7 @@ class TestRunDoublePe:
             assert abs(grid.delta - reference.delta) < 1e-12
 
     def test_exact_branch_cap(self):
-        u = gate_with_phases([1.0, 4.0], 8)
+        u = generate_gate(2, [1.0, 4.0], 8)
         report = run_double_pe(u, 4)
         assert 0 < len(report.branches) <= EXACT_BRANCH_CAP
         readings = [b.z_a * 16 + b.z_b for b in report.branches]
@@ -274,7 +269,7 @@ class TestRunDoublePe:
         size = 2 ** n
         # readings 1 and 0, both shifted off the grid by `offset` of a step
         phases = [TWO_PI * (1 + offset) / size, TWO_PI * ((size - offset) % size) / size]
-        u = gate_with_phases(phases, n)
+        u = generate_gate(2, phases, n)
         report = run_double_pe(u, n)
         ranking = ranking_oracle(report.exact_joint, DISTRIBUTION_CAP)
         assert report.kept.tolist() == sorted(ranking)
@@ -282,7 +277,7 @@ class TestRunDoublePe:
         assert readings == sorted(ranking[:EXACT_BRANCH_CAP])
 
     def test_sampling_determinism_and_counts(self):
-        u = gate_with_phases([0.5, 2.5], 3)
+        u = generate_gate(2, [0.5, 2.5], 3)
         a = run_double_pe(u, 2, shots=300, seed=9)
         b = run_double_pe(u, 2, shots=300, seed=9)
         assert a.joint_histogram == b.joint_histogram
@@ -292,15 +287,15 @@ class TestRunDoublePe:
         assert {(br.z_a, br.z_b) for br in a.branches} == observed
 
     def test_output_state_layout(self):
-        out = double_pe_output_state(gate_with_phases([0.5, 2.5], 1), 2)
+        out = double_pe_output_state(generate_gate(2, [0.5, 2.5], 1), 2)
         assert out.dims == (2, 2, 2, 2, 2, 2)
 
     def test_rejects_degenerate_and_bad_sizes(self):
         with pytest.raises(SpectrumError):
             run_double_pe(np.eye(2), 3)
         with pytest.raises(SpectrumError):
-            run_double_pe(gate_with_phases([1.0, 1.0 + 1e-9], 0), 3)
-        u = gate_with_phases([0.5, 2.5], 0)
+            run_double_pe(generate_gate(2, [1.0, 1.0 + 1e-9], 0), 3)
+        u = generate_gate(2, [0.5, 2.5], 0)
         with pytest.raises(ValueError):
             run_double_pe(u, 0)
         with pytest.raises(ValueError):
@@ -311,7 +306,7 @@ class TestRunDoublePe:
     @pytest.mark.parametrize("value", [2.5, 3.0, True])
     def test_refuses_non_integer_sizes_and_shots(self, value):
         """A fractional n or shot count used to be truncated silently."""
-        u = gate_with_phases([0.5, 2.5], 0)
+        u = generate_gate(2, [0.5, 2.5], 0)
         with pytest.raises(ValueError, match="register size must be an integer"):
             run_double_pe(u, value)
         with pytest.raises(ValueError, match="register size must be an integer"):
@@ -320,7 +315,7 @@ class TestRunDoublePe:
             run_double_pe(u, 3, shots=value)
 
     def test_accepts_numpy_integers(self):
-        u = gate_with_phases([0.5, 2.5], 0)
+        u = generate_gate(2, [0.5, 2.5], 0)
         report = run_double_pe(u, np.int64(3), shots=np.uint16(50), seed=2)
         again = run_double_pe(u, 3, shots=50, seed=2)
         assert (report.n, report.shots_used) == (3, 50) and type(report.n) is int
@@ -377,7 +372,7 @@ class TestProfileRanking:
     @pytest.mark.parametrize("spectrum", ["on", "off"])
     @pytest.mark.parametrize("seed", range(2))
     def test_matches_dense_top_k(self, n, spectrum, seed):
-        report = run_double_pe(gate_with_phases(grid_phases(n, spectrum, seed), seed), n)
+        report = run_double_pe(generate_gate(2, grid_phases(n, spectrum, seed), seed), n)
         assert_keeps_the_dense_top(report)
 
     @pytest.mark.parametrize("case", sorted(SPECIAL_RANKINGS))
@@ -430,7 +425,7 @@ class TestProfileRanking:
         ],
     )
     def test_branches_match_dense_entries(self, n, phases, shots):
-        report = run_double_pe(gate_with_phases(phases, 5), n, shots=shots, seed=3)
+        report = run_double_pe(generate_gate(2, phases, 5), n, shots=shots, seed=3)
         joint = report.exact_joint
         straight = np.abs(np.outer(*report.profiles)) ** 2 / 2.0
         size = 2 ** n
@@ -463,7 +458,7 @@ class TestProfileRanking:
         if spectrum == "zero-pi":
             u = SPECIAL_RANKINGS["zero-pi"][0]
         else:
-            u = gate_with_phases(grid_phases(MAX_REGISTER_QUBITS, spectrum, 0), 0)
+            u = generate_gate(2, grid_phases(MAX_REGISTER_QUBITS, spectrum, 0), 0)
         run_double_pe(u, MAX_REGISTER_QUBITS)
         tracemalloc.start()
         try:
@@ -510,7 +505,7 @@ class TestRankingRegimes:
     @given(case=profile_cases())
     # a subnormal grid offset, which makes the peak's denominator subnormal
     @example(case=(5, [2.2250738585e-313, 1.0], 4 ** 5))
-    def test_both_regimes_equal_dense_top_k(self, case):
+    def test_both_regimes_equal_dense_top_set(self, case):
         n, phases, cap = case
         g1, g2 = profile_pair(n, phases)
         selected, values, joint = _rank_joint(g1, g2, cap)
@@ -533,7 +528,7 @@ class TestRankingRegimes:
             return real(w)
 
         monkeypatch.setattr(phase_estimation, "_prefix_pairs", spy)
-        u = gate_with_phases([0.7, 2.9], 3)
+        u = generate_gate(2, [0.7, 2.9], 3)
         run_double_pe(u, 6)
         assert widths == []
         run_double_pe(u, 7)
@@ -583,7 +578,7 @@ class TestLazyBranches:
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_equal_the_eager_values_and_are_built_once(self, n, shots):
         seed = 7
-        report = run_double_pe(gate_with_phases([0.7, 2.9], 5), n, shots=shots, seed=seed)
+        report = run_double_pe(generate_gate(2, [0.7, 2.9], 5), n, shots=shots, seed=seed)
         assert "branches" not in vars(report) and "joint_histogram" not in vars(report)
         size = 2 ** n
         if shots:

@@ -29,21 +29,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsinglet.cli import MAX_SHOTS, ReadingTable, main, report_json
-from qsinglet.discrimination import build_idp_povm, equatorial_state
+from qsinglet.discrimination import build_idp_povm
 from qsinglet.floattext import float_texts
 from qsinglet.linalg import (
     MAX_SEED,
-    EigenSystem,
     eigendecompose_2x2_unitary,
     generate_gate,
     haar_random_unitary,
-    unitary_from_eigensystem,
     wrap_phase,
 )
 from qsinglet.phase_estimation import double_pe_output_state, nearest_grid, run_double_pe
 from qsinglet.protocols import (
     control_wiring,
-    eta_basis,
+    equatorial_state,
     pm1_output_state,
     protocol_known_phases,
     protocol_pm1,
@@ -58,8 +56,8 @@ from qsinglet.qudit import (
     run_qudit_minus_one,
     spectrum_check_minus_one,
 )
-from qsinglet.register import x_pattern_basis
 from qsinglet.singlet import network_output_state
+from dense_reference import eta_basis, x_pattern_basis
 
 SHOTS = 257
 PROPERTY = settings(max_examples=20, deadline=None)
@@ -293,7 +291,7 @@ def test_qudit_near_the_involution_tolerance_matches_dense(d, seed, defect):
     # |exp(2i eps) - 1| <= 2|eps| bounds every entry of u @ u - I
     eps = np.random.default_rng(seed).uniform(-0.5, 0.5, size=d) * defect
     phases = wrap_phase(np.array([math.pi] + [0.0] * (d - 1)) + eps)
-    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(d, seed), phases))
+    u = generate_gate(d, phases.tolist(), seed)
     assert np.max(np.abs(u @ u - np.eye(d))) <= INVOLUTION_ATOL
     assert_qudit_matches_dense(run_qudit_minus_one(u, shots=0), u)
 
@@ -589,9 +587,6 @@ TRICKY_NUMBERS = [0.0, -0.0, 1, 1.0, True, False, math.nan, math.inf, -math.inf]
 numbers = st.one_of(
     st.sampled_from(TRICKY_NUMBERS), st.integers(), st.floats(allow_nan=True)
 )
-floats_with_repeats = st.one_of(
-    st.sampled_from([0.0, -0.0, 0.5, 1e-300, math.nan, math.inf, -math.inf]), st.floats()
-)
 json_values = st.recursive(
     st.one_of(st.none(), st.text(), numbers),
     lambda inner: st.one_of(
@@ -599,30 +594,31 @@ json_values = st.recursive(
     ),
     max_leaves=30,
 )
-# flat maps of numbers, of one type or mixed
-flat_maps = st.one_of(
-    st.dictionaries(st.text(max_size=6), floats_with_repeats, max_size=40),
-    st.dictionaries(st.text(max_size=6), st.integers(), max_size=40),
-    st.dictionaries(st.text(max_size=6), numbers, max_size=40),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=st.one_of(json_values, flat_maps, st.dictionaries(st.text(max_size=4), flat_maps)))
-@example(value={"m": dict(zip("abcdefghi", TRICKY_NUMBERS)), "é": {"ü": -0.0, "ß": 0.0}})
-@example(value={"m": dict(zip("abcdefg", [0.0, -0.0, 0.0, math.nan, math.inf, 0.5, 0.5]))})
-@example(value={"e": {}, "l": [], "n": {"e": {}, "l": [[]]}})
-@example(value={"h": {"1,2": 3, "0,1": 1, "2,2": 3}})
-def test_report_writer_equals_json_dumps(value):
-    assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
 # a register size, then distinct flat readings z_a * 2^n + z_b in any order
 reading_sets = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(
         st.just(n), st.lists(st.integers(0, 4 ** n - 1), unique=True, max_size=300)
     )
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=reading_sets.filter(lambda case: case[1]),
+    siblings=st.dictionaries(st.text(max_size=4), json_values, max_size=4),
+    key=st.text(max_size=4),
+    indent=st.sampled_from(["", "  ", "    "]),
+)
+@example(case=(2, [9, 1]), siblings={'a"b': 1, "é": [-0.0, math.nan]}, key="m", indent="  ")
+def test_report_writer_equals_json_dumps(case, siblings, key, indent):
+    """A dict holding a ReadingTable is the one value report_json writes key
+    by key; it equals json.dumps of the dict with the table's as_dict()."""
+    n, readings = case
+    values = np.arange(1, len(readings) + 1) / (len(readings) + 1)
+    table = ReadingTable.keyed(n, np.array(readings, dtype=np.int64), values, float_texts(values))
+    value = {**siblings, key: table}
+    expected = json.dumps({**value, key: table.as_dict()}, sort_keys=True, indent=2)
+    assert report_json(value, indent) == expected.replace("\n", "\n" + indent)
 
 
 @settings(max_examples=200, deadline=None)

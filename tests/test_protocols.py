@@ -5,19 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qsinglet.linalg import (
-    EigenSystem,
-    generate_gate,
-    haar_random_unitary,
-    phase_distance,
-    unitary_from_eigensystem,
-    wrap_phase,
-)
-from qsinglet.discrimination import equatorial_state, idp_success_probability
+from qsinglet.linalg import generate_gate, haar_random_unitary, phase_distance, wrap_phase
 from qsinglet.protocols import (
     SpectrumError,
     _eigen_branches,
-    eta_basis,
+    equatorial_state,
     pm1_output_state,
     protocol_known_phases,
     protocol_pm1,
@@ -27,23 +19,12 @@ from qsinglet.protocols import (
     tomography_baseline,
 )
 from qsinglet.qudit import householder_reflection, run_qudit_minus_one
-from qsinglet.register import (
-    PROB_FLOOR,
-    collapse,
-    extract_subsystem,
-    fidelity,
-    x_pattern_basis,
-)
+from qsinglet.register import PROB_FLOOR, collapse, extract_subsystem
+from dense_reference import eta_basis, fidelity, idp_success_probability, x_pattern_basis
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
 MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-
-
-def gate_with_phases(phases, seed):
-    """Haar random eigenbasis with prescribed eigenphases."""
-    basis = haar_random_unitary(len(phases), seed)
-    return unitary_from_eigensystem(EigenSystem(basis, np.array(phases, dtype=float)))
 
 
 def eig_oracle(u):
@@ -55,7 +36,7 @@ def eig_oracle(u):
 class TestPm1:
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_split_and_fidelities(self, seed):
-        u = gate_with_phases([0.0, math.pi], seed)
+        u = generate_gate(2, [0.0, math.pi], seed)
         report = protocol_pm1(u, shots=0)
         assert report.wires == (1, 2)
         assert report.gate_uses == 1
@@ -65,7 +46,7 @@ class TestPm1:
             assert all(f >= 1.0 - 1e-10 for f in branch.fidelities)
 
     def test_branch_phase_assignment(self):
-        u = gate_with_phases([0.0, math.pi], 3)
+        u = generate_gate(2, [0.0, math.pi], 3)
         report = protocol_pm1(u, shots=0)
         plus_branch = report.branches["+x"]
         minus_branch = report.branches["-x"]
@@ -87,7 +68,7 @@ class TestPm1:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_wire_states_match_general_eigensolver(self, seed):
-        u = gate_with_phases([0.0, math.pi], 100 + seed)
+        u = generate_gate(2, [0.0, math.pi], 100 + seed)
         reference = {round(p / math.pi): v for p, v in eig_oracle(u)}
         out = pm1_output_state(u)
         basis, _ = x_pattern_basis(1)
@@ -97,12 +78,12 @@ class TestPm1:
 
     def test_rejects_wrong_spectrum(self):
         with pytest.raises(SpectrumError):
-            protocol_pm1(gate_with_phases([0.0, math.pi / 2], 0))
+            protocol_pm1(generate_gate(2, [0.0, math.pi / 2], 0))
         with pytest.raises(SpectrumError):
             protocol_pm1(np.eye(2))
 
     def test_sampling_is_seeded(self):
-        u = gate_with_phases([0.0, math.pi], 1)
+        u = generate_gate(2, [0.0, math.pi], 1)
         a = protocol_pm1(u, seed=5, shots=200)
         b = protocol_pm1(u, seed=5, shots=200)
         assert a.histogram == b.histogram
@@ -111,7 +92,7 @@ class TestPm1:
         assert a.outcome_label in a.branches
 
     def test_zero_shots_reports_exact_only(self):
-        report = protocol_pm1(gate_with_phases([0.0, math.pi], 2), shots=0)
+        report = protocol_pm1(generate_gate(2, [0.0, math.pi], 2), shots=0)
         assert report.histogram == {}
         assert report.outcome_label is None
         assert report.shots_used == 0
@@ -120,7 +101,7 @@ class TestPm1:
 class TestSquareTrick:
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_split_and_fidelities(self, seed):
-        u = gate_with_phases([0.0, math.pi / 2], seed)
+        u = generate_gate(2, [0.0, math.pi / 2], seed)
         report = protocol_square_trick(u, shots=0)
         assert report.gate_uses == 2
         assert abs(report.exact_distribution["+x"] - 0.5) <= 1e-12
@@ -137,13 +118,13 @@ class TestSquareTrick:
 
     def test_rejects_pm1_spectrum(self):
         with pytest.raises(SpectrumError):
-            protocol_square_trick(gate_with_phases([0.0, math.pi], 4))
+            protocol_square_trick(generate_gate(2, [0.0, math.pi], 4))
 
 
 class TestKnownPhases:
     @pytest.mark.parametrize("delta", [np.pi / 4, np.pi / 2, 3 * np.pi / 4, np.pi])
     def test_outcome_probabilities_match_discrimination_bound(self, delta):
-        u = gate_with_phases([0.0, delta], 8)
+        u = generate_gate(2, [0.0, delta], 8)
         report = protocol_known_phases(u, 0.0, delta, shots=0)
         success = idp_success_probability(0.0, delta)
         assert abs(report.exact_distribution["v1"] - success / 2.0) <= 1e-12
@@ -154,7 +135,7 @@ class TestKnownPhases:
     @pytest.mark.parametrize("seed", range(6))
     def test_conclusive_branches_locate_exactly(self, seed):
         theta1, theta2 = 0.9, 2.4
-        u = gate_with_phases([theta1, theta2], seed)
+        u = generate_gate(2, [theta1, theta2], seed)
         report = protocol_known_phases(u, theta1, theta2, shots=0)
         v1 = report.branches["v1"]
         v2 = report.branches["v2"]
@@ -165,20 +146,20 @@ class TestKnownPhases:
         assert phase_distance(v2.eigenphases[0], theta2) < 1e-8
 
     def test_fail_branch_has_no_located_state(self):
-        u = gate_with_phases([0.0, np.pi / 3], 1)
+        u = generate_gate(2, [0.0, np.pi / 3], 1)
         report = protocol_known_phases(u, 0.0, np.pi / 3, shots=0)
         assert report.branches["fail"].fidelities is None
         assert report.branches["fail"].probability > 0.5
 
     def test_rejects_equal_and_mismatched_phases(self):
-        u = gate_with_phases([0.0, 1.0], 2)
+        u = generate_gate(2, [0.0, 1.0], 2)
         with pytest.raises(ValueError):
             protocol_known_phases(u, 0.7, 0.7)
         with pytest.raises(SpectrumError):
             protocol_known_phases(u, 0.0, 2.0)
 
     def test_orthogonal_case_never_fails(self):
-        u = gate_with_phases([0.0, np.pi], 3)
+        u = generate_gate(2, [0.0, np.pi], 3)
         report = protocol_known_phases(u, 0.0, np.pi, shots=0)
         assert report.exact_distribution["fail"] <= 1e-12
 
@@ -199,7 +180,7 @@ class TestQuartet:
     @pytest.mark.parametrize("k1,k2", PAIRS)
     def test_every_fourth_root_pair(self, k1, k2):
         quarter = math.pi / 2.0
-        u = gate_with_phases([k1 * quarter, k2 * quarter], seed=4 * k1 + k2)
+        u = generate_gate(2, [k1 * quarter, k2 * quarter], seed=4 * k1 + k2)
         report = protocol_quartet(u, shots=0)
         assert report.wires == (2, 3)
         assert report.gate_uses == 3
@@ -223,14 +204,14 @@ class TestQuartet:
         assert phase_distance(report.branches["eta(1)"].eigenphases[0], 0.0) < 1e-10
 
     def test_output_state_norm(self):
-        u = gate_with_phases([0.0, 3 * math.pi / 2], 5)
+        u = generate_gate(2, [0.0, 3 * math.pi / 2], 5)
         out = quartet_output_state(u)
         assert out.dims == (2, 2, 2, 2)
         assert abs(np.linalg.norm(out.amps) - 1.0) < 1e-12
 
     def test_rejects_bad_spectra(self):
         with pytest.raises(SpectrumError):
-            protocol_quartet(gate_with_phases([0.0, 1.0], 0))
+            protocol_quartet(generate_gate(2, [0.0, 1.0], 0))
         with pytest.raises(SpectrumError):
             protocol_quartet(np.eye(2))
         # equal fourth roots are degenerate for this readout
@@ -270,10 +251,10 @@ def test_quartet_is_exact_on_canonical_gates(k1, k2):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda: protocol_pm1(gate_with_phases([0.0, math.pi], 0), shots=-5),
-        lambda: protocol_square_trick(gate_with_phases([0.0, math.pi / 2], 0), shots=-5),
-        lambda: protocol_quartet(gate_with_phases([0.0, math.pi / 2], 0), shots=-5),
-        lambda: protocol_known_phases(gate_with_phases([0.2, 1.7], 0), 0.2, 1.7, shots=-5),
+        lambda: protocol_pm1(generate_gate(2, [0.0, math.pi], 0), shots=-5),
+        lambda: protocol_square_trick(generate_gate(2, [0.0, math.pi / 2], 0), shots=-5),
+        lambda: protocol_quartet(generate_gate(2, [0.0, math.pi / 2], 0), shots=-5),
+        lambda: protocol_known_phases(generate_gate(2, [0.2, 1.7], 0), 0.2, 1.7, shots=-5),
     ],
     ids=["pm1", "square-trick", "quartet", "known-phases"],
 )
@@ -313,14 +294,14 @@ class TestTomography:
         assert est.p10 > 0.98
 
     def test_gate_use_accounting(self):
-        u = gate_with_phases([0.0, math.pi], 0)
+        u = generate_gate(2, [0.0, math.pi], 0)
         est = tomography_baseline(u, 250, seed=3, phase_grid_size=8)
         assert est.shots_per_setting == 250
         assert est.phase_grid_size == 8
         assert est.gate_uses == 250 * 9
 
     def test_validation(self):
-        u = gate_with_phases([0.0, math.pi], 0)
+        u = generate_gate(2, [0.0, math.pi], 0)
         with pytest.raises(ValueError):
             tomography_baseline(u, 0)
         with pytest.raises(ValueError):
@@ -331,7 +312,7 @@ class TestTomography:
     @pytest.mark.parametrize("value", [3.5, 4.0, True, "4"])
     def test_refuses_non_integer_counts(self, value):
         """A fractional grid would draw ceil(value) settings but report fewer."""
-        u = gate_with_phases([0.0, math.pi], 0)
+        u = generate_gate(2, [0.0, math.pi], 0)
         with pytest.raises(ValueError, match="phase_grid_size must be an integer"):
             tomography_baseline(u, 100, phase_grid_size=value)
         with pytest.raises(ValueError, match="shots_per_setting must be an integer"):
@@ -341,7 +322,7 @@ class TestTomography:
     def test_counts_follow_one_draw_per_setting(self, grid):
         """The counts of every setting come from one binomial call, the same
         stream as one call per setting in setting order."""
-        u = gate_with_phases([0.3, 2.0], grid)
+        u = generate_gate(2, [0.3, 2.0], grid)
         for seed in range(5):
             est = tomography_baseline(u, 1000, seed=seed, phase_grid_size=grid)
             rng = np.random.default_rng(seed)
@@ -354,7 +335,7 @@ class TestTomography:
             assert est.relative_phase == wrap_phase(math.atan2(-beta, alpha))
 
     def test_accepts_numpy_integers(self):
-        u = gate_with_phases([0.0, math.pi], 0)
+        u = generate_gate(2, [0.0, math.pi], 0)
         est = tomography_baseline(u, np.int64(100), seed=3, phase_grid_size=np.int16(4))
         assert est == tomography_baseline(u, 100, seed=3, phase_grid_size=4)
         assert type(est.gate_uses) is int and est.gate_uses == 500
@@ -364,9 +345,9 @@ class TestShotCounts:
     """Every labelled runner takes an integer shot count, never a truncated one."""
 
     RUNNERS = {
-        "pm1": lambda shots: protocol_pm1(gate_with_phases([0.0, math.pi], 0), 1, shots),
+        "pm1": lambda shots: protocol_pm1(generate_gate(2, [0.0, math.pi], 0), 1, shots),
         "known-phases": lambda shots: protocol_known_phases(
-            gate_with_phases([0.4, 2.2], 0), 0.4, 2.2, 1, shots
+            generate_gate(2, [0.4, 2.2], 0), 0.4, 2.2, 1, shots
         ),
         "qudit-minus-one": lambda shots: run_qudit_minus_one(
             householder_reflection([1.0, 1.0j, 0.5]), 1, shots

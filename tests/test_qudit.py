@@ -12,7 +12,7 @@ from qsinglet.qudit import (
     run_qudit_minus_one,
     spectrum_check_minus_one,
 )
-from qsinglet.register import fidelity
+from dense_reference import fidelity
 
 
 def random_direction(d, seed):

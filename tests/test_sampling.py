@@ -1,4 +1,4 @@
-"""Tests for the shared shot sampler and the top-K selection helper."""
+"""Tests for the shared shot sampler and the ``top_set`` selection helper."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsinglet import register
-from qsinglet.linalg import EigenSystem, haar_random_unitary, unitary_from_eigensystem
+from qsinglet.linalg import generate_gate
 from qsinglet.phase_estimation import run_double_pe
 from qsinglet.protocols import protocol_known_phases
 from qsinglet.register import PROB_FLOOR, sample_counts, top_set
@@ -63,7 +63,7 @@ def test_sampler_draws_at_most_one_chunk_per_call(monkeypatch):
 
 
 def test_labelled_protocol_histogram_is_chunk_independent(monkeypatch):
-    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(2, 5), np.array([0.4, 2.2])))
+    u = generate_gate(2, [0.4, 2.2], 5)
     whole = protocol_known_phases(u, 0.4, 2.2, seed=44, shots=50)
     monkeypatch.setattr(register, "SAMPLE_CHUNK", 16)
     chunked = protocol_known_phases(u, 0.4, 2.2, seed=44, shots=50)
@@ -74,7 +74,7 @@ def test_labelled_protocol_histogram_is_chunk_independent(monkeypatch):
 
 
 def test_double_pe_histogram_is_chunk_independent(monkeypatch):
-    u = unitary_from_eigensystem(EigenSystem(haar_random_unitary(2, 6), np.array([0.7, 2.9])))
+    u = generate_gate(2, [0.7, 2.9], 6)
     whole = run_double_pe(u, 3, shots=100, seed=5)
     monkeypatch.setattr(register, "SAMPLE_CHUNK", 30)
     chunked = run_double_pe(u, 3, shots=100, seed=5)
@@ -107,7 +107,7 @@ def test_top_k_matches_sorted_oracle(cap):
     assert all(joint.reshape(-1)[i] > PROB_FLOOR for i in got)
 
 
-def test_top_k_on_counts_orders_by_count_then_index():
+def test_top_set_on_counts_orders_by_count_then_index():
     """Counts are selected by count, ties by index, and kept in index order."""
     counts = np.array([0, 3, 1, 3, 0, 5, 1])
     assert top_set(counts, counts.size).tolist() == [1, 2, 3, 5, 6]
@@ -140,7 +140,7 @@ FLOOR_ADJACENT = [0.0, np.nextafter(PROB_FLOOR, 0.0), PROB_FLOOR, np.nextafter(P
     pool=st.lists(st.floats(1e-13, 1.0), min_size=1, max_size=4),
     seed=st.integers(0, 2 ** 32 - 1),
 )
-def test_top_k_matches_oracle_with_ties_across_the_cap(size_bits, symmetric, cap, pool, seed):
+def test_top_set_matches_oracle_with_ties_across_the_cap(size_bits, symmetric, cap, pool, seed):
     """Few distinct values, so ties straddle the cap, on flat and symmetric inputs."""
     rng = np.random.default_rng(seed)
     values = np.array(FLOOR_ADJACENT + pool)

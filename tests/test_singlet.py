@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qsinglet.linalg import haar_random_unitary
-from qsinglet.register import apply_unitary, digits_to_index, fidelity, plus_x
+from qsinglet.register import apply_unitary, digits_to_index, plus_x
 from qsinglet.singlet import make_singlet, permutation_parity, singlet_network
+from dense_reference import fidelity
 
 # Levi-Civita signs for every permutation of three items
 EPSILON_3 = {
