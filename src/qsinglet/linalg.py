@@ -62,7 +62,9 @@ def is_unitary(m: np.ndarray) -> bool:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    # a unitary's entries have modulus at most 1; refusing larger ones first
+    # keeps m^dagger m finite, and the negated test refuses NaN too
+    if not np.max(np.abs(m)) <= 1.0 + UNITARY_ATOL:
         return False
     defect = dagger(m) @ m - np.eye(m.shape[0])
     return bool(np.max(np.abs(defect)) <= UNITARY_ATOL)

@@ -141,7 +141,6 @@ class PeReport:
     kept_probabilities: np.ndarray
     analysed: tuple
     observed: tuple
-    shots_used: int
     gate_uses: int
 
     @cached_property
@@ -327,6 +326,5 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
         kept_probabilities=probabilities,
         analysed=_analyze(grids, g1, g2, picked),
         observed=observed,
-        shots_used=shots,
         gate_uses=2 * (size - 1),
     )

@@ -43,7 +43,6 @@ def equatorial_state(theta: float) -> np.ndarray:
 class BranchReport:
     """Exact analysis of one measurement branch."""
 
-    probability: float
     fidelities: tuple | None = None
     eigenphases: tuple | None = None
 
@@ -52,22 +51,20 @@ class BranchReport:
 class ProtocolReport:
     """Exact branch analysis plus sampled shots for one protocol run.
 
-    ``branches`` maps outcome labels to their exact analysis;
-    ``exact_distribution`` includes zero-probability labels too.
-    ``outcome_label`` is the first sampled shot, None when ``shots_used`` is
-    0; its analysis is ``branches[outcome_label]``.
+    ``branches`` maps outcome labels to their exact analysis, and
+    ``exact_distribution`` every label, zeros too, to its probability.
+    ``outcome_label`` is the first sampled shot, None without shots; its
+    analysis is ``branches[outcome_label]``.
     """
 
-    wires: tuple
     branches: dict
     exact_distribution: dict
     histogram: dict
     outcome_label: str | None
-    shots_used: int
     gate_uses: int
 
 
-def labelled_report(wires, labels, probs, branches, seed, shots, wiring):
+def labelled_report(labels, probs, branches, seed, shots, wiring):
     """ProtocolReport over labelled outcomes, with ``shots`` seeded draws, of
     a network that uses the gate as often as ``wiring``'s powers add up to."""
     shots = require_int(shots, "shots", minimum=0)
@@ -78,12 +75,10 @@ def labelled_report(wires, labels, probs, branches, seed, shots, wiring):
         histogram = {label: int(count) for label, count in zip(labels, counts)}
         outcome = labels[first]
     return ProtocolReport(
-        wires=tuple(wires),
         branches=branches,
         exact_distribution={label: float(p) for label, p in zip(labels, probs)},
         histogram=histogram,
         outcome_label=outcome,
-        shots_used=shots,
         gate_uses=sum(power for _, _, power in wiring),
     )
 
@@ -119,7 +114,7 @@ def _eigen_branches(phases, profile, labels, assignment) -> tuple:
             w = weights[m]
             share = w[assignment[m][0]] / (w[0] + w[1])
             eigenphases = tuple(float(phases[k]) for k in assignment[m])
-            branches[labels[m]] = BranchReport(p, (share, share), eigenphases)
+            branches[labels[m]] = BranchReport((share, share), eigenphases)
     return probs, branches
 
 
@@ -175,7 +170,7 @@ def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     probs, branches = _eigen_branches(
         phases, lambda phase: x_profile(power * phase), labels, assignment
     )
-    return labelled_report((1, 2), labels, probs, branches, seed, shots, control_wiring(powers))
+    return labelled_report(labels, probs, branches, seed, shots, control_wiring(powers))
 
 
 def protocol_pm1(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolReport:
@@ -230,9 +225,9 @@ def protocol_known_phases(
     assignment = {0: (idx1, idx2), 1: (idx2, idx1)}
     probs, branches = _eigen_branches(phases, profile, ["v1", "v2"], assignment)
     probs.append(max(1.0 - probs[0] - probs[1], 0.0))
-    branches[FAIL_LABEL] = BranchReport(probs[2])
+    branches[FAIL_LABEL] = BranchReport()
     labels = ["v1", "v2", FAIL_LABEL]
-    return labelled_report((1, 2), labels, probs, branches, seed, shots, wiring)
+    return labelled_report(labels, probs, branches, seed, shots, wiring)
 
 
 ETA_LABELS = ("eta(1)", "eta(i)", "eta(-1)", "eta(-i)")
@@ -278,7 +273,7 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     labels = list(ETA_LABELS)
     eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
     probs, branches = _eigen_branches(phases, _eta_profile, labels, eigen_for_k)
-    return labelled_report((2, 3), labels, probs, branches, seed, shots, QUARTET_WIRING)
+    return labelled_report(labels, probs, branches, seed, shots, QUARTET_WIRING)
 
 
 @dataclass(frozen=True)

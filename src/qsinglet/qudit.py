@@ -20,12 +20,6 @@ from .singlet import network_output_state
 
 MAX_QUDIT_DIM = 5
 INVOLUTION_ATOL = 1e-9
-# A count, not a tolerance: a gate within the unitarity (1e-10) and involution
-# (1e-9) bounds has eigenvalues s_k e^{i eps_k}, s_k = +-1, with
-# sqrt(sum eps_k^2) <= D * 5e-10, so its trace lies within about 6e-9 (D = 5)
-# of an integer of D's parity. A wrong count of -1 eigenvalues misses D - 2 by
-# at least 2 - 6e-9, and every bound between ~6e-9 and ~2 refuses the same gates.
-TRACE_ATOL = 1e-8
 
 
 def householder_reflection(w) -> np.ndarray:
@@ -44,15 +38,12 @@ def householder_reflection(w) -> np.ndarray:
 
 def _check_minus_one_spectrum(u: np.ndarray) -> None:
     """SpectrumError unless the unitary u squares to the identity within 1e-9
-    and has trace D - 2 within 1e-8 (one -1 among D-1 ones).
-
-    Once u passes the involution check, the trace test only counts -1
-    eigenvalues: the trace sits within about 6e-9 of an integer of D's
-    parity, so no accepted gate lies near the 1e-8 bound (see TRACE_ATOL)."""
+    and has exactly one -1 eigenvalue. It counts the -1 eigenvalues as
+    (D - Re tr u)/2, rounded: an involution's eigenvalues lie near +-1."""
     d = u.shape[0]
     if np.max(np.abs(u @ u - np.eye(d))) > INVOLUTION_ATOL:
         raise SpectrumError("gate must square to the identity within 1e-9")
-    if abs(np.trace(u) - (d - 2)) > TRACE_ATOL:
+    if round((d - np.trace(u).real) / 2) != 1:
         raise SpectrumError(f"gate trace must be {d - 2} (exactly one -1 eigenvalue)")
 
 
@@ -82,12 +73,9 @@ def minus_one_output_state(u: np.ndarray) -> State:
 
 @dataclass(frozen=True)
 class QuditBranch:
-    """One control pattern with its exact probability and located eigenstate.
+    """One control pattern's located eigenstate: ``located_wire`` indexes the
+    singlet parties. Its probability is the report's ``exact_distribution``."""
 
-    ``located_wire`` indexes the singlet parties, i.e. the report's ``wires``.
-    """
-
-    probability: float
     located_wire: int
     fidelity: float
 
@@ -122,6 +110,5 @@ def run_qudit_minus_one(u: np.ndarray, seed: int = 0, shots: int = 1) -> Protoco
             probs.append(0.0)
         else:
             probs.append(share)
-            branches[label] = QuditBranch(share, d - 1 - m.bit_length(), 1.0)
-    wires = tuple(range(d - 1, 2 * d - 1))
-    return labelled_report(wires, labels, probs, branches, seed, shots, minus_one_wiring(d))
+            branches[label] = QuditBranch(d - 1 - m.bit_length(), 1.0)
+    return labelled_report(labels, probs, branches, seed, shots, minus_one_wiring(d))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -746,6 +747,24 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         jsonschema.validate(report, SCHEMA)
         assert report.get("errors") == ([refusal] if status else None)
+
+    def test_gate_file_with_huge_entries_is_refused_without_warnings(self, tmp_path, capsys):
+        """Entries far past modulus 1 are refused before u^dagger u is formed,
+        where they would overflow: no numpy warning, so none becomes an
+        exception under ``-W error``."""
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({"dim": 2, "entries": [[1e200, 0], [0, 0], [0, 0], [1e200, 0]]}))
+        config = {"protocol": "pm1", "gate": {"file": str(gate)}, "shots": 0, "params": {}}
+        path = write_config(tmp_path, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["run", "--config", path]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        jsonschema.validate(report, SCHEMA)
+        refusal = "matrix JSON content is not unitary within 1e-10"
+        assert report["errors"] == [refusal]
+        assert captured.err == f"error: {refusal}\n"
 
     @pytest.mark.parametrize(
         "gap, errors",

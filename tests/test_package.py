@@ -44,13 +44,12 @@ def readme_number(text: str) -> float:
 
 
 def test_readme_tolerances_match_the_code():
-    """Every row of the README's tolerance table, and the ``TRACE_ATOL``
-    paragraph under it, names a constant that exists with the value written."""
+    """Every row of the README's tolerance table names a constant that exists
+    with the value written."""
     section = tolerances_section()
     table = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+?) \|", section, re.M)
     assert table and len(table) == section.count("\n| `")  # every row parses
-    (trace,) = re.findall(r"`(qudit)\.(TRACE_ATOL)` \(([^)]+)\)", section)
-    for module, name, value in table + [trace]:
+    for module, name, value in table:
         assert getattr(importlib.import_module(f"qsinglet.{module}"), name) == readme_number(value), name
 
 

@@ -282,7 +282,6 @@ class TestRunDoublePe:
         b = run_double_pe(u, 2, shots=300, seed=9)
         assert a.joint_histogram == b.joint_histogram
         assert sum(a.joint_histogram.values()) == 300
-        assert a.shots_used == 300
         observed = set(a.joint_histogram)
         assert {(br.z_a, br.z_b) for br in a.branches} == observed
 
@@ -318,7 +317,8 @@ class TestRunDoublePe:
         u = generate_gate(2, [0.5, 2.5], 0)
         report = run_double_pe(u, np.int64(3), shots=np.uint16(50), seed=2)
         again = run_double_pe(u, 3, shots=50, seed=2)
-        assert (report.n, report.shots_used) == (3, 50) and type(report.n) is int
+        assert report.n == 3 and type(report.n) is int
+        assert sum(report.joint_histogram.values()) == 50
         assert report.joint_histogram == again.joint_histogram
         assert nearest_grid(0.5, np.int8(4)) == nearest_grid(0.5, 4)
 

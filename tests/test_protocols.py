@@ -38,7 +38,6 @@ class TestPm1:
     def test_exact_split_and_fidelities(self, seed):
         u = generate_gate(2, [0.0, math.pi], seed)
         report = protocol_pm1(u, shots=0)
-        assert report.wires == (1, 2)
         assert report.gate_uses == 1
         assert abs(report.exact_distribution["+x"] - 0.5) <= 1e-12
         assert abs(report.exact_distribution["-x"] - 0.5) <= 1e-12
@@ -95,7 +94,6 @@ class TestPm1:
         report = protocol_pm1(generate_gate(2, [0.0, math.pi], 2), shots=0)
         assert report.histogram == {}
         assert report.outcome_label is None
-        assert report.shots_used == 0
 
 
 class TestSquareTrick:
@@ -149,7 +147,7 @@ class TestKnownPhases:
         u = generate_gate(2, [0.0, np.pi / 3], 1)
         report = protocol_known_phases(u, 0.0, np.pi / 3, shots=0)
         assert report.branches["fail"].fidelities is None
-        assert report.branches["fail"].probability > 0.5
+        assert report.exact_distribution["fail"] > 0.5
 
     def test_rejects_equal_and_mismatched_phases(self):
         u = generate_gate(2, [0.0, 1.0], 2)
@@ -182,7 +180,6 @@ class TestQuartet:
         quarter = math.pi / 2.0
         u = generate_gate(2, [k1 * quarter, k2 * quarter], seed=4 * k1 + k2)
         report = protocol_quartet(u, shots=0)
-        assert report.wires == (2, 3)
         assert report.gate_uses == 3
         labels = ("eta(1)", "eta(i)", "eta(-1)", "eta(-i)")
         expected = {labels[k1], labels[k2]}
@@ -364,4 +361,4 @@ class TestShotCounts:
     def test_accepts_numpy_integer_shots(self, runner):
         report = self.RUNNERS[runner](np.int32(37))
         assert report == self.RUNNERS[runner](37)
-        assert type(report.shots_used) is int and sum(report.histogram.values()) == 37
+        assert sum(report.histogram.values()) == 37

@@ -6,6 +6,7 @@ import pytest
 from qsinglet.linalg import generate_gate, haar_random_unitary
 from qsinglet.protocols import SpectrumError
 from qsinglet.qudit import (
+    INVOLUTION_ATOL,
     MAX_QUDIT_DIM,
     householder_reflection,
     minus_one_output_state,
@@ -94,12 +95,11 @@ def test_patterns_uniform_over_allowed(d):
 def test_located_wire_holds_the_eigenvector(d):
     u, target = rotated_diag_fixture(d, 7 * d)
     report = run_qudit_minus_one(u, shots=0)
-    assert report.wires == tuple(range(d - 1, 2 * d - 1))
     assert report.gate_uses == d - 1
     assert len(report.branches) == d
     seen_wires = set()
     for label, branch in report.branches.items():
-        assert abs(branch.probability - 1.0 / d) <= 1e-12
+        assert abs(report.exact_distribution[label] - 1.0 / d) <= 1e-12
         assert branch.fidelity >= 1.0 - 1e-10
         seen_wires.add(branch.located_wire)
     assert seen_wires == set(range(d))
@@ -120,6 +120,25 @@ def test_allowed_patterns_are_exactly_one_in_d(d):
         assert [branch.fidelity for branch in report.branches.values()] == [1.0] * d
 
 
+@pytest.mark.parametrize("d, k", [(d, k) for d in range(2, MAX_QUDIT_DIM + 1) for k in range(d + 1)])
+def test_counts_its_minus_one_eigenvalues_near_the_involution_bound(d, k):
+    """Gates with eigenphase pi on k parties and 0 on the rest, each phase
+    moved by 0.45 INVOLUTION_ATOL either way, so that U^2 - I reaches up to
+    0.9 INVOLUTION_ATOL: the locator runs exactly when k = 1, and refuses
+    every other count of -1 eigenvalues by its trace."""
+    rng = np.random.default_rng([d, k])
+    refusal = f"gate trace must be {d - 2} (exactly one -1 eigenvalue)"
+    for seed in range(50):
+        offsets = 0.45 * INVOLUTION_ATOL * rng.choice([-1.0, 1.0], size=d)
+        u = generate_gate(d, [np.pi] * k + [0.0] * (d - k) + offsets, seed)
+        if k == 1:
+            run_qudit_minus_one(u, shots=0)
+        else:
+            with pytest.raises(SpectrumError) as refused:
+                run_qudit_minus_one(u, shots=0)
+            assert str(refused.value) == refusal
+
+
 def test_d2_reduces_to_the_qubit_protocol():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     report = run_qudit_minus_one(x, shots=0)
@@ -127,8 +146,8 @@ def test_d2_reduces_to_the_qubit_protocol():
     assert set(report.exact_distribution) == {"+x", "-x"}
     assert report.branches["-x"].located_wire == 0
     assert report.branches["+x"].located_wire == 1
-    for branch in report.branches.values():
-        assert abs(branch.probability - 0.5) <= 1e-12
+    for label, branch in report.branches.items():
+        assert abs(report.exact_distribution[label] - 0.5) <= 1e-12
         assert branch.fidelity >= 1.0 - 1e-12
     vec = spectrum_check_minus_one(x)
     assert fidelity(vec, minus) > 1.0 - 1e-12
@@ -150,7 +169,6 @@ def test_zero_shots_skips_sampling():
     report = run_qudit_minus_one(u, shots=0)
     assert report.histogram == {}
     assert report.outcome_label is None
-    assert report.shots_used == 0
 
 
 def test_output_state_layout():
