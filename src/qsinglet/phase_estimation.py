@@ -129,8 +129,8 @@ class PeReport:
     ``analysed`` holds the :class:`PeBranch` fields as seven arrays, one entry
     per analysed reading in flat order; with shots, ``observed`` holds the
     observed flat readings, ascending, and their counts (empty arrays without
-    shots). ``branches``, ``joint_histogram`` and ``exact_joint``, the dense
-    2^n x 2^n joint, are built on first read.
+    shots). ``branches`` and ``exact_joint``, the dense 2^n x 2^n joint, are
+    built on first read.
     """
 
     n: int
@@ -147,12 +147,6 @@ class PeReport:
     def branches(self) -> tuple:
         """One :class:`PeBranch` per analysed reading, in ``analysed`` order."""
         return tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in self.analysed)))
-
-    @cached_property
-    def joint_histogram(self) -> dict:
-        """``{(z_a, z_b): count}`` of the observed readings, in ``observed`` order."""
-        size = 2 ** self.n
-        return {divmod(z, size): c for z, c in zip(*(c.tolist() for c in self.observed))}
 
     @cached_property
     def exact_joint(self) -> np.ndarray:
@@ -233,17 +227,17 @@ def _candidates(g1: np.ndarray, g2: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
-    """Flat indices, ascending, and probabilities of the joint's top ``cap``
-    readings, and the flat dense joint J = S + S^T when it was built (else
-    None). Bit for bit ``top_set(J, cap)`` and J's entries there. While
-    4^n <= cap (n <= 6 at the report's cap) the staircase could prune no
-    reading, so J is built; above, only :func:`_candidates` are evaluated.
+    """Flat indices, ascending, and probabilities of the top ``cap`` readings
+    of the joint J = S + S^T: bit for bit ``top_set(J, cap)`` and J's entries
+    there. While 4^n <= cap (n <= 6 at the report's cap) the staircase could
+    prune no reading, so J is built and selected from; above, only
+    :func:`_candidates` are evaluated.
     """
     size = g1.shape[0]
     if size * size <= cap:
         joint = _dense_joint(g1, g2).reshape(-1)
         kept = top_set(joint, cap)
-        return kept, joint[kept], joint
+        return kept, joint[kept]
     candidates = _candidates(g1, g2, cap)
     z_a, z_b = np.divmod(candidates, size)
     # S once per candidate. The transposed keys are the candidates again, so
@@ -252,7 +246,7 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
     straight = _weight(g1[z_a], g2[z_b])
     values = straight + straight[np.argsort(z_b * size + z_a)]
     kept = top_set(values, cap)
-    return candidates[kept], values[kept], None
+    return candidates[kept], values[kept]
 
 
 def _analyze(grids: tuple, g1: np.ndarray, g2: np.ndarray, readings: np.ndarray) -> tuple:
@@ -288,14 +282,14 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     the weight of "half A holds e1, half B holds e2" on reading (z_a, z_b), the
     joint readout is S + S^T and half A holds e1 with fidelity S / (S + S^T).
 
-    The top ``DISTRIBUTION_CAP`` readings are selected from the two 2^n
-    profiles, forming the 4^n joint only while it has at most
-    ``DISTRIBUTION_CAP`` entries. ``shots = 0`` analyzes the
-    ``EXACT_BRANCH_CAP`` most likely of ``kept`` and allocates O(2^n) memory
-    plus the candidates; positive ``shots`` samples readings from the dense
-    joint (``exact_joint``; the selection's own while n <= 6) and analyzes
-    every distinct observed branch. Each branch records the residual fidelity
-    of both singlet halves against the eigenvector matching its reading.
+    The top ``DISTRIBUTION_CAP`` readings come from the dense 4^n joint while
+    it has at most ``DISTRIBUTION_CAP`` entries, else from the profiles'
+    staircase in O(2^n) memory plus the candidates. ``shots = 0`` analyzes
+    the ``EXACT_BRANCH_CAP`` most likely of ``kept``; positive ``shots``
+    samples readings from the dense joint (``exact_joint``, O(4^n) memory at
+    every n) and analyzes every distinct observed branch. Each branch records
+    the residual fidelity of both singlet halves against the eigenvector
+    matching its reading.
     """
     n = require_int(n, "register size")
     shots = require_int(shots, "shots", minimum=0)
@@ -306,9 +300,9 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     grids = tuple(nearest_grid(float(p), n) for p in phases)
     size = 2 ** n
     g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
-    kept, probabilities, joint = _rank_joint(g1, g2, DISTRIBUTION_CAP)
+    kept, probabilities = _rank_joint(g1, g2, DISTRIBUTION_CAP)
     if shots > 0:
-        counts, _ = sample_counts(_dense_joint(g1, g2) if joint is None else joint, shots, seed)
+        counts, _ = sample_counts(_dense_joint(g1, g2), shots, seed)
         picked = np.flatnonzero(counts)
         observed = picked, counts[picked]
     else:

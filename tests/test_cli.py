@@ -520,7 +520,7 @@ def test_cli_writes_the_run_experiment_report_for_double_pe(config):
 @pytest.mark.parametrize("shots", [0, 1, 1000])
 def test_double_pe_maps_are_the_library_report(n, shots):
     """The fidelities and histogram written from arrays are the library's
-    branches and joint histogram: half A's fidelity first, counts as ints.
+    branches and observed readings: half A's fidelity first, counts as ints.
     Every reading of this off-grid gate clears the floor, so the map is full."""
     config = dict(OFF_GRID_DOUBLE_PE, shots=shots, params={"n": n})
     report = run_experiment(config)
@@ -531,8 +531,10 @@ def test_double_pe_maps_are_the_library_report(n, shots):
     }
     assert all(type(f) is float for pair in report["fidelities"].values() for f in pair)
     if shots:
+        size = 2 ** n
         assert report["histogram"] == {
-            f"{za},{zb}": c for (za, zb), c in library.joint_histogram.items()
+            f"{z // size},{z % size}": count
+            for z, count in zip(*(a.tolist() for a in library.observed))
         }
         assert all(type(c) is int for c in report["histogram"].values())
     else:

@@ -31,6 +31,8 @@ from qsinglet.phase_estimation import (
 )
 from qsinglet.protocols import SpectrumError
 from qsinglet.register import PROB_FLOOR, State, sample_counts
+import semiclassical
+from test_properties import numpy_eigenvectors
 from test_sampling import ranking_oracle
 
 TWO_PI = 2.0 * math.pi
@@ -280,9 +282,9 @@ class TestRunDoublePe:
         u = generate_gate(2, [0.5, 2.5], 3)
         a = run_double_pe(u, 2, shots=300, seed=9)
         b = run_double_pe(u, 2, shots=300, seed=9)
-        assert a.joint_histogram == b.joint_histogram
-        assert sum(a.joint_histogram.values()) == 300
-        observed = set(a.joint_histogram)
+        assert [c.tolist() for c in a.observed] == [c.tolist() for c in b.observed]
+        assert a.observed[1].sum() == 300
+        observed = {divmod(z, 4) for z in a.observed[0].tolist()}
         assert {(br.z_a, br.z_b) for br in a.branches} == observed
 
     def test_output_state_layout(self):
@@ -318,8 +320,8 @@ class TestRunDoublePe:
         report = run_double_pe(u, np.int64(3), shots=np.uint16(50), seed=2)
         again = run_double_pe(u, 3, shots=50, seed=2)
         assert report.n == 3 and type(report.n) is int
-        assert sum(report.joint_histogram.values()) == 50
-        assert report.joint_histogram == again.joint_histogram
+        assert report.observed[1].sum() == 50
+        assert [c.tolist() for c in report.observed] == [c.tolist() for c in again.observed]
         assert nearest_grid(0.5, np.int8(4)) == nearest_grid(0.5, 4)
 
 
@@ -408,7 +410,7 @@ class TestProfileRanking:
             if kind != "three-level":
                 assert np.all(magnitude > 0.0)
             g1, g2 = magnitude * np.exp(2j * np.pi * rng.random((2, size)))
-            selected, values, _ = _rank_joint(g1, g2, cap)
+            selected, values = _rank_joint(g1, g2, cap)
             kept, entries = dense_top(_dense_joint(g1, g2), cap)
             assert selected.tolist() == kept.tolist()
             assert values.tobytes() == entries.tobytes()
@@ -438,7 +440,7 @@ class TestProfileRanking:
             return min(range(2), key=lambda k: (distance(k), k))
 
         if shots:
-            assert {(b.z_a, b.z_b) for b in report.branches} == set(report.joint_histogram)
+            assert {b.z_a * size + b.z_b for b in report.branches} == set(report.observed[0].tolist())
         else:
             assert [b.z_a * size + b.z_b for b in report.branches] == (
                 dense_top(joint, EXACT_BRANCH_CAP)[0].tolist()
@@ -508,16 +510,10 @@ class TestRankingRegimes:
     def test_both_regimes_equal_dense_top_set(self, case):
         n, phases, cap = case
         g1, g2 = profile_pair(n, phases)
-        selected, values, joint = _rank_joint(g1, g2, cap)
-        dense = _dense_joint(g1, g2).reshape(-1)
-        kept, entries = dense_top(dense, cap)
+        selected, values = _rank_joint(g1, g2, cap)
+        kept, entries = dense_top(_dense_joint(g1, g2), cap)
         assert selected.tolist() == kept.tolist()
         assert values.tobytes() == entries.tobytes()
-        # the dense regime hands its joint on, so a sampler need not rebuild it
-        if 4 ** n <= cap:
-            assert joint.tobytes() == dense.tobytes()
-        else:
-            assert joint is None
 
     def test_register_size_picks_the_regime(self, monkeypatch):
         widths = []
@@ -572,27 +568,66 @@ class TestRankSlack:
 
 
 class TestLazyBranches:
-    """``branches`` and ``joint_histogram`` are built on first read."""
+    """``branches`` is built on first read."""
 
     @pytest.mark.parametrize("shots", [0, 1, 1000])
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_equal_the_eager_values_and_are_built_once(self, n, shots):
         seed = 7
         report = run_double_pe(generate_gate(2, [0.7, 2.9], 5), n, shots=shots, seed=seed)
-        assert "branches" not in vars(report) and "joint_histogram" not in vars(report)
-        size = 2 ** n
+        assert "branches" not in vars(report)
         if shots:
             counts, _ = sample_counts(report.exact_joint, shots, seed)
             picked = np.flatnonzero(counts)
-            histogram = {divmod(int(i), size): int(counts[i]) for i in picked}
+            observed = picked.tolist(), counts[picked].tolist()
         else:
             picked = dense_top(report.exact_joint, EXACT_BRANCH_CAP)[0]
-            histogram = {}
+            observed = [], []
         columns = _analyze(report.grids, *report.profiles, picked)
         branches = tuple(PeBranch(*row) for row in zip(*(c.tolist() for c in columns)))
         assert report.branches == branches
-        assert list(report.joint_histogram.items()) == list(histogram.items())
-        assert all(type(c) is int for c in report.joint_histogram.values())
+        assert tuple(c.tolist() for c in report.observed) == observed
+        assert all(c.dtype == np.int64 for c in report.observed)
         assert all(type(b.probability) is float and type(b.z_a) is int for b in report.branches)
         assert report.branches is report.branches
-        assert report.joint_histogram is report.joint_histogram
+
+
+@st.composite
+def circuit_cases(draw):
+    """n = 1..10, a seed and two phases at least 0.3 apart."""
+    n = draw(st.integers(1, MAX_REGISTER_QUBITS))
+    theta = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    gap = draw(st.floats(0.3, TWO_PI - 0.3))
+    return n, [theta, math.fmod(theta + gap, TWO_PI)], draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestSemiclassicalCircuit:
+    """The closed form against the qubit-by-qubit circuit model at every n."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=circuit_cases(), shots=st.sampled_from([0, 1000]))
+    @example(case=(8, [0.7, 2.9], 3), shots=0)
+    @example(case=(10, [0.7, 2.9], 3), shots=1000)
+    def test_joint_and_fidelities_match_the_circuit(self, case, shots):
+        n, phases, seed = case
+        u = generate_gate(2, phases, seed)
+        report = run_double_pe(u, n, shots=shots, seed=seed)
+        size = 2 ** n
+        if n <= 8:
+            readings, expected = np.arange(size * size), report.exact_joint.reshape(-1)
+        else:
+            readings, expected = report.kept, report.kept_probabilities
+        # the closed form reads each eigenphase as a float, and the register
+        # multiplies its absolute error by 2^n: against a 40-digit evaluation
+        # of the circuit it was off by up to 7.2 * 2^n * 1e-16 on random gates,
+        # the circuit model by at most 0.2 * 2^n * 1e-16
+        joint = semiclassical.probabilities(semiclassical.halves(u, n, readings))
+        assert np.max(np.abs(joint - expected)) <= size * 2e-15 + 1e-15
+        # a fidelity is a ratio of weights, so it is compared as the weight
+        # P * fidelity: the circuit's absolute error does not shrink with P
+        z_a, z_b, p, fidelity_a, fidelity_b, match_a, match_b = report.analysed
+        vectors = numpy_eigenvectors(u, report.eigenphases).T
+        halves = semiclassical.halves(u, n, z_a * size + z_b)
+        circuit_a, circuit_b = semiclassical.fidelities(halves, vectors[match_a], vectors[match_b])
+        assert np.max(np.abs(circuit_a - fidelity_a) * p) <= size * 1e-16 + 1e-15
+        assert np.max(np.abs(circuit_b - fidelity_b) * p) <= size * 1e-16 + 1e-15

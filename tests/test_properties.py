@@ -347,8 +347,8 @@ def test_double_pe_closed_form_matches_dense_network(case, seed, shot_seed):
     assert np.max(np.abs(exact.exact_joint - joint)) <= 1e-12
     assert abs(np.sum(exact.exact_joint) - 1.0) <= 1e-12
     assert np.array_equal(sampled.exact_joint, exact.exact_joint)
-    assert sum(sampled.joint_histogram.values()) == SHOTS
-    assert [(b.z_a, b.z_b) for b in sampled.branches] == list(sampled.joint_histogram)
+    assert sampled.observed[1].sum() == SHOTS
+    assert [b.z_a * size + b.z_b for b in sampled.branches] == sampled.observed[0].tolist()
 
     vectors = numpy_eigenvectors(u, exact.eigenphases)
     xbars = [nearest_grid(float(p), n).xbar for p in exact.eigenphases]
