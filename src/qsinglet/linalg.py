@@ -80,12 +80,6 @@ def require_unitary(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def wrap_phase(phi):
     """Reduce an angle (scalar or array) to the interval [0, 2*pi)."""
-    if isinstance(phi, float):
-        # Python's float % follows np.mod's rule: the sign-corrected fmod, and
-        # +0.0 for a zero remainder
-        out = float(phi) % TWO_PI
-        # the remainder can round a tiny negative input up to exactly 2*pi
-        return 0.0 if out >= TWO_PI else out
     out = np.mod(phi, TWO_PI)
     # np.mod can round a tiny negative input up to exactly 2*pi
     out = np.where(out >= TWO_PI, 0.0, out)

@@ -302,7 +302,7 @@ def run_double_pe(u: np.ndarray, n: int, shots: int = 0, seed: int = 0) -> PeRep
     g1, g2 = (g_amplitude(np.arange(size), grid) for grid in grids)
     kept, probabilities = _rank_joint(g1, g2, DISTRIBUTION_CAP)
     if shots > 0:
-        counts, _ = sample_counts(_dense_joint(g1, g2), shots, seed)
+        counts = sample_counts(_dense_joint(g1, g2), shots, seed)
         picked = np.flatnonzero(counts)
         observed = picked, counts[picked]
     else:

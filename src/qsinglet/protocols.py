@@ -53,14 +53,11 @@ class ProtocolReport:
 
     ``branches`` maps outcome labels to their exact analysis, and
     ``exact_distribution`` every label, zeros too, to its probability.
-    ``outcome_label`` is the first sampled shot, None without shots; its
-    analysis is ``branches[outcome_label]``.
     """
 
     branches: dict
     exact_distribution: dict
     histogram: dict
-    outcome_label: str | None
     gate_uses: int
 
 
@@ -69,16 +66,13 @@ def labelled_report(labels, probs, branches, seed, shots, wiring):
     a network that uses the gate as often as ``wiring``'s powers add up to."""
     shots = require_int(shots, "shots", minimum=0)
     histogram = {}
-    outcome = None
     if shots > 0:
-        counts, first = sample_counts(probs, shots, seed)
+        counts = sample_counts(probs, shots, seed)
         histogram = {label: int(count) for label, count in zip(labels, counts)}
-        outcome = labels[first]
     return ProtocolReport(
         branches=branches,
         exact_distribution={label: float(p) for label, p in zip(labels, probs)},
         histogram=histogram,
-        outcome_label=outcome,
         gate_uses=sum(power for _, _, power in wiring),
     )
 
@@ -242,12 +236,9 @@ def _eta_profile(phase: float) -> list:
     """Weights of reading eta(i^k), k = 0..3, when the quartet's gate acts on
     the eigenvector of ``phase``: the controls hold (1, z, z^2, z^3)/2 with z =
     exp(i phase), so with x = phase - k pi/2 the weight is the two-qubit
-    Fourier profile (1 + cos x)/2 (1 + cos 2x)/2."""
-    weights = []
-    for k in range(4):
-        x = phase - k * (math.pi / 2.0)
-        weights.append((1.0 + math.cos(x)) / 2.0 * ((1.0 + math.cos(2.0 * x)) / 2.0))
-    return weights
+    Fourier profile (1 + cos x)/2 (1 + cos 2x)/2, the +x weight of x and of 2x."""
+    xs = [phase - k * (math.pi / 2.0) for k in range(4)]
+    return [x_profile(x)[0] * x_profile(2.0 * x)[0] for x in xs]
 
 
 def quartet_output_state(u: np.ndarray) -> State:

@@ -226,14 +226,14 @@ def collapse(state: State, subsystems, basis, outcome: int):
 
 
 def sample_counts(probs, shots: int, seed: int):
-    """Draw ``shots`` seeded outcomes from a distribution; return (counts, first).
+    """Draw ``shots`` seeded outcomes from a distribution; entry ``i`` of the
+    returned counts is how often flat outcome ``i`` was drawn.
 
-    ``counts[i]`` is how often flat outcome ``i`` was drawn and ``first`` the
-    first draw (None when ``shots`` is 0). Each draw looks one uniform from
-    ``default_rng(seed).random`` up in the distribution's CDF, built once, as
-    ``Generator.choice(p=...)`` does on every call; draws come in chunks of
-    ``SAMPLE_CHUNK``, so the result equals a single ``choice(size=shots)``
-    call while memory stays bounded by the chunk.
+    Each draw looks one uniform from ``default_rng(seed).random`` up in the
+    distribution's CDF, built once, as ``Generator.choice(p=...)`` does on
+    every call; draws come in chunks of ``SAMPLE_CHUNK``, so the result equals
+    a single ``choice(size=shots)`` call while memory stays bounded by the
+    chunk.
     """
     p = np.clip(np.asarray(probs, dtype=float).reshape(-1), 0.0, None)
     p /= p.sum()
@@ -242,13 +242,10 @@ def sample_counts(probs, shots: int, seed: int):
     cdf /= cdf[-1]
     rng = np.random.default_rng(seed)
     counts = np.zeros(p.shape[0], dtype=np.int64)
-    first = None
     for start in range(0, shots, SAMPLE_CHUNK):
         draws = cdf.searchsorted(rng.random(min(SAMPLE_CHUNK, shots - start)), side="right")
-        if first is None:
-            first = int(draws[0])
         counts += np.bincount(draws, minlength=p.shape[0])
-    return counts, first
+    return counts
 
 
 def top_set(probs, cap) -> np.ndarray:

@@ -87,7 +87,7 @@ def test_discriminate_never_wrong():
     v2 = equatorial_state(2.0)
     povm = build_idp_povm(v1, v2)
     for state, wrong in ((v1, "v2"), (v2, "v1")):
-        counts, _ = sample_counts(born(povm, state), 200, 8)
+        counts = sample_counts(born(povm, state), 200, 8)
         assert counts[povm.labels.index(wrong)] == 0
 
 
@@ -96,7 +96,7 @@ def test_discriminate_conclusive_rate():
     v2 = equatorial_state(np.pi / 2)
     povm = build_idp_povm(v1, v2)
     n = 5000
-    counts, _ = sample_counts(born(povm, v1), n, 15)
+    counts = sample_counts(born(povm, v1), n, 15)
     wins = int(counts[povm.labels.index("v1")])
     p = idp_success_probability(0.0, np.pi / 2)
     sigma = np.sqrt(p * (1.0 - p) / n)

@@ -23,9 +23,15 @@ def test_every_export_resolves():
 
 
 def test_readme_library_use_runs(capsys):
+    """Every line the example prints is the value its ``#`` comment starts
+    with."""
     (code,) = re.findall(r"```python\n(.*?)```", library_use_section(), re.S)
     exec(compile(code, "README.md", "exec"), {})
-    assert "+x" in capsys.readouterr().out
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    printed = capsys.readouterr().out.splitlines()
+    assert len(comments) == code.count("print(") == len(printed)
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + " ")
 
 
 def test_readme_lists_every_export():

@@ -378,7 +378,7 @@ class TestProfileRanking:
         assert_keeps_the_dense_top(report)
 
     @pytest.mark.parametrize("case", sorted(SPECIAL_RANKINGS))
-    def test_matches_dense_top_k_on_edge_cases(self, case):
+    def test_matches_dense_top_set_on_edge_cases(self, case):
         u, n = SPECIAL_RANKINGS[case]
         report = run_double_pe(u, n)
         assert_keeps_the_dense_top(report)
@@ -391,7 +391,7 @@ class TestProfileRanking:
             assert flat[beyond[-2]] == flat[beyond[-1]]
 
     @pytest.mark.parametrize("kind", ["uniform", "steep", "three-level", "exponential"])
-    def test_matches_dense_top_k_on_synthetic_profiles(self, kind):
+    def test_matches_dense_top_set_on_synthetic_profiles(self, kind):
         """Arbitrary profiles and caps, which stress the candidate bound harder
         than phase-estimation profiles do: halving it is what keeps these exact."""
         rng = np.random.default_rng(["uniform", "steep", "three-level", "exponential"].index(kind))
@@ -577,7 +577,7 @@ class TestLazyBranches:
         report = run_double_pe(generate_gate(2, [0.7, 2.9], 5), n, shots=shots, seed=seed)
         assert "branches" not in vars(report)
         if shots:
-            counts, _ = sample_counts(report.exact_joint, shots, seed)
+            counts = sample_counts(report.exact_joint, shots, seed)
             picked = np.flatnonzero(counts)
             observed = picked.tolist(), counts[picked].tolist()
         else:

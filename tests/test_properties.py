@@ -263,6 +263,61 @@ def test_known_phases_matches_a_40_digit_evaluation(theta1, gap, seed, swap):
                 assert abs(Decimal(fid) - share) <= CLOSED_FORM_ATOL
 
 
+def assert_readout_matches_40_digits(report, u, weights):
+    """With the gate's float eigenphases phi taken as exact and
+    ``weights(phi)`` every label's 40-digit weight, in label order, when the
+    gate acts on the eigenvector of phi: each label's probability is the mean
+    of its weight over the two phases, and each branch's fidelity its first
+    eigenphase's share of that sum."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        phases = [Decimal(float(p)) for p in eigendecompose_2x2_unitary(u)]
+        table = [weights(p) for p in phases]
+        assert len(table[0]) == len(report.exact_distribution)
+        for m, (label, p) in enumerate(report.exact_distribution.items()):
+            total = table[0][m] + table[1][m]
+            assert abs(Decimal(p) - total / 2) <= CLOSED_FORM_ATOL
+            if label in report.branches:
+                branch = report.branches[label]
+                share = weights(Decimal(branch.eigenphases[0]))[m] / total
+                for fid in branch.fidelities:
+                    assert abs(Decimal(fid) - share) <= CLOSED_FORM_ATOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(square=st.booleans(), seed=seeds, swap=orders)
+def test_x_readouts_match_a_40_digit_evaluation(square, seed, swap):
+    """pm1 reads +x and -x with weights (1 +- cos phi)/2, and square-trick, its
+    gate applied twice, with (1 +- cos 2 phi)/2."""
+    power, run = (2, protocol_square_trick) if square else (1, protocol_pm1)
+    u = two_phase_gate((0.0, math.pi / power), swap, seed)
+
+    def weights(phase):
+        c = decimal_cos(power * phase)
+        return [(1 + c) / 2, (1 - c) / 2]
+
+    assert_readout_matches_40_digits(run(u, shots=0), u, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=st.sampled_from(list(itertools.combinations(range(4), 2))),
+    seed=seeds, swap=orders,
+)
+def test_quartet_matches_a_40_digit_evaluation(pair, seed, swap):
+    """eta(i^k) has weight (1 + cos x)/2 (1 + cos 2x)/2 with x = phi - k pi/2,
+    for all four labels, the two that never occur included."""
+    u = two_phase_gate([k * math.pi / 2.0 for k in pair], swap, seed)
+
+    def weights(phase):
+        xs = [phase - k * DECIMAL_PI / 2 for k in range(4)]
+        return [(1 + decimal_cos(x)) / 2 * (1 + decimal_cos(2 * x)) / 2 for x in xs]
+
+    report = protocol_quartet(u, shots=0)
+    assert len(report.branches) == 2
+    assert_readout_matches_40_digits(report, u, weights)
+
+
 def assert_qudit_matches_dense(report, u):
     d = u.shape[0]
     target = spectrum_check_minus_one(u)[:, None]

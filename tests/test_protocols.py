@@ -86,14 +86,12 @@ class TestPm1:
         a = protocol_pm1(u, seed=5, shots=200)
         b = protocol_pm1(u, seed=5, shots=200)
         assert a.histogram == b.histogram
-        assert a.outcome_label == b.outcome_label
         assert sum(a.histogram.values()) == 200
-        assert a.outcome_label in a.branches
+        assert all(label in a.branches for label, count in a.histogram.items() if count)
 
     def test_zero_shots_reports_exact_only(self):
         report = protocol_pm1(generate_gate(2, [0.0, math.pi], 2), shots=0)
         assert report.histogram == {}
-        assert report.outcome_label is None
 
 
 class TestSquareTrick:

@@ -159,16 +159,17 @@ def test_sampling_histogram_and_headline():
     b = run_qudit_minus_one(u, seed=4, shots=500)
     assert a.histogram == b.histogram
     assert sum(a.histogram.values()) == 500
-    assert a.outcome_label in a.branches
-    assert a.branches[a.outcome_label].fidelities == (a.branches[a.outcome_label].fidelity,)
-    assert abs(a.exact_distribution[a.outcome_label] - 1.0 / 3.0) <= 1e-12
+    observed = [label for label, count in a.histogram.items() if count]
+    assert observed
+    for label in observed:
+        assert a.branches[label].fidelities == (a.branches[label].fidelity,)
+        assert abs(a.exact_distribution[label] - 1.0 / 3.0) <= 1e-12
 
 
 def test_zero_shots_skips_sampling():
     u = householder_reflection(random_direction(3, 22))
     report = run_qudit_minus_one(u, shots=0)
     assert report.histogram == {}
-    assert report.outcome_label is None
 
 
 def test_output_state_layout():

@@ -253,13 +253,14 @@ def test_sample_counts_and_collapse_are_seeded_and_consistent():
     state = random_state((2, 2), 30)
     basis, labels = x_pattern_basis(1)
     probs = [p for _, p in outcome_distribution(state, [0], basis, labels)]
-    counts_a, first_a = sample_counts(probs, 1, 0)
-    counts_b, first_b = sample_counts(probs, 1, 0)
-    assert first_a == first_b
-    assert counts_a.tolist() == counts_b.tolist() and counts_a[first_a] == 1
-    p_a, residual_a = collapse(state, [0], basis, first_a)
-    p_b, residual_b = collapse(state, [0], basis, first_b)
+    counts_a = sample_counts(probs, 1, 0)
+    counts_b = sample_counts(probs, 1, 0)
+    assert counts_a.tolist() == counts_b.tolist() and int(counts_a.sum()) == 1
+    (outcome,) = np.flatnonzero(counts_a)
+    p_a, residual_a = collapse(state, [0], basis, outcome)
+    p_b, residual_b = collapse(state, [0], basis, outcome)
     assert 0.0 < p_a <= 1.0 and p_a == p_b
+    assert abs(p_a - probs[outcome]) <= 1e-12
     np.testing.assert_allclose(residual_a.amps, residual_b.amps)
 
 
@@ -268,7 +269,7 @@ def test_sample_counts_frequencies_track_born_rule():
     basis, labels = np.eye(2), ["0", "1"]
     exact = dict(outcome_distribution(state, [0], basis, labels))
     n = 4000
-    counts, _ = sample_counts([exact[label] for label in labels], n, 99)
+    counts = sample_counts([exact[label] for label in labels], n, 99)
     hits = int(counts[labels.index("0")])
     sigma = math.sqrt(exact["0"] * (1.0 - exact["0"]) / n)
     assert abs(hits / n - exact["0"]) < 5.0 * sigma
