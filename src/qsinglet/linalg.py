@@ -195,8 +195,9 @@ def unitary_from_json(obj: dict) -> np.ndarray:
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix JSON needs 'dim' and 'entries' keys") from exc
     dim = require_int(dim, "matrix JSON dim", minimum=1)
-    if len(entries) != dim * dim:
-        raise ValueError(f"matrix JSON needs exactly dim*dim = {dim * dim} entries")
+    if not (isinstance(entries, list) and len(entries) == dim * dim
+            and all(isinstance(pair, list) and len(pair) == 2 for pair in entries)):
+        raise ValueError(f"matrix JSON needs 'entries' as dim*dim = {dim * dim} [re, im] pairs")
     flat = np.array([complex(require_number(re, "matrix JSON entry"),
                              require_number(im, "matrix JSON entry")) for re, im in entries])
     return require_unitary(flat.reshape(dim, dim), what="matrix JSON content")

@@ -240,11 +240,7 @@ def _rank_joint(g1: np.ndarray, g2: np.ndarray, cap: int):
         return kept, joint[kept]
     candidates = _candidates(g1, g2, cap)
     z_a, z_b = np.divmod(candidates, size)
-    # S once per candidate. The transposed keys are the candidates again, so
-    # the order that sorts them puts each candidate's transpose at its
-    # position (faster than searchsorted)
-    straight = _weight(g1[z_a], g2[z_b])
-    values = straight + straight[np.argsort(z_b * size + z_a)]
+    values = _weight(g1[z_a], g2[z_b]) + _weight(g1[z_b], g2[z_a])
     kept = top_set(values, cap)
     return candidates[kept], values[kept]
 

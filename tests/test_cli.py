@@ -768,6 +768,15 @@ class TestMain:
         assert report["errors"] == [refusal]
         assert captured.err == f"error: {refusal}\n"
 
+    def test_gate_file_with_bare_number_entries_is_refused_by_name(self, tmp_path, capsys):
+        gate = tmp_path / "gate.json"
+        gate.write_text(json.dumps({"dim": 2, "entries": [1, 0, 0, 1]}))
+        config = {"protocol": "pm1", "gate": {"file": str(gate)}, "shots": 0, "params": {}}
+        assert run_cli(["run", "--config", write_config(tmp_path, config)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        jsonschema.validate(report, SCHEMA)
+        assert report["errors"] == ["matrix JSON needs 'entries' as dim*dim = 4 [re, im] pairs"]
+
     @pytest.mark.parametrize(
         "gap, errors",
         [

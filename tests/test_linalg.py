@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -59,16 +60,29 @@ def test_is_unitary_rejects_scaled_and_nonsquare():
     "phi,expected",
     [
         (0.0, 0.0),
+        (-0.0, 0.0),
+        (-5e-324, 0.0),
         (-np.pi, np.pi),
         (2.0 * np.pi, 0.0),
+        (-2.0 * np.pi, 0.0),
+        (6.0 * np.pi, 0.0),
         (4.0 * np.pi + 0.5, 0.5),
         (-1e-18, 0.0),
+        # fmod is exact, so these are the residues of +-1e300 by the float 2 pi
+        (1e300, math.fmod(1e300, 2.0 * np.pi)),
+        (-1e300, 2.0 * np.pi - math.fmod(1e300, 2.0 * np.pi)),
     ],
 )
 def test_wrap_phase(phi, expected):
-    out = wrap_phase(phi)
-    assert 0.0 <= out < 2.0 * np.pi
-    assert abs(out - expected) < 1e-12
+    """A Python float or numpy scalar comes back as a Python float, bitwise
+    the value the array rule gives."""
+    array_rule = struct.pack("<d", wrap_phase(np.array([phi]))[0])
+    for scalar in (phi, np.float64(phi)):
+        out = wrap_phase(scalar)
+        assert type(out) is float
+        assert struct.pack("<d", out) == array_rule
+        assert 0.0 <= out < 2.0 * np.pi
+        assert abs(out - expected) < 1e-12
 
 
 def test_wrap_phase_array():
@@ -204,6 +218,11 @@ def test_unitary_from_json_rejects_bad_shapes():
         unitary_from_json({"dim": 2, "entries": [[1.0, 0.0]]})
     with pytest.raises(ValueError):
         unitary_from_json({"entries": []})
+    # entries must be a list of dim*dim [re, im] lists
+    for entries in ([1, 2, 3, 4], 5, "abcd", [[1.0, 0.0, 0.0]] * 4, [[1.0]] * 4,
+                    {"0": [1.0, 0.0]}, [(1.0, 0.0)] * 4):
+        with pytest.raises(ValueError, match=r"needs 'entries' as dim\*dim = 4 \[re, im\] pairs"):
+            unitary_from_json({"dim": 2, "entries": entries})
     # right shape, wrong content
     bad = {"dim": 2, "entries": [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]}
     with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from qsinglet.phase_estimation import (
 from qsinglet.protocols import SpectrumError
 from qsinglet.register import PROB_FLOOR, State, sample_counts
 import semiclassical
-from test_properties import numpy_eigenvectors
+from test_properties import circuit_cases, numpy_eigenvectors
 from test_sampling import ranking_oracle
 
 TWO_PI = 2.0 * math.pi
@@ -590,15 +590,6 @@ class TestLazyBranches:
         assert all(c.dtype == np.int64 for c in report.observed)
         assert all(type(b.probability) is float and type(b.z_a) is int for b in report.branches)
         assert report.branches is report.branches
-
-
-@st.composite
-def circuit_cases(draw):
-    """n = 1..10, a seed and two phases at least 0.3 apart."""
-    n = draw(st.integers(1, MAX_REGISTER_QUBITS))
-    theta = draw(st.floats(0.0, TWO_PI, exclude_max=True))
-    gap = draw(st.floats(0.3, TWO_PI - 0.3))
-    return n, [theta, math.fmod(theta + gap, TWO_PI)], draw(st.integers(0, 2 ** 32 - 1))
 
 
 class TestSemiclassicalCircuit:
