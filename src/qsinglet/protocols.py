@@ -88,7 +88,7 @@ def x_profile(theta: float) -> list:
     return [(1.0 + c) / 2.0, (1.0 - c) / 2.0]
 
 
-def _eigen_branches(phases, profile, labels, assignment) -> tuple:
+def _eigen_branches(phases, profile, labels, named) -> tuple:
     """Probabilities, and a :class:`BranchReport` per label above PROB_FLOOR,
     of a readout of the singlet network of a 2x2 gate with eigenphases
     ``phases``.
@@ -97,8 +97,8 @@ def _eigen_branches(phases, profile, labels, assignment) -> tuple:
     e_0 and party 1 e_1, or the reverse. ``profile(phase)`` lists every
     outcome's weight |<r_m|chi>|^2 when party 0 holds the eigenvector of
     ``phase``. Outcome m has probability the mean of its two weights; it
-    should leave the eigenvectors ``assignment[m]`` on parties 0 and 1, and
-    both parties' fidelity is the share of the arrangement that does.
+    should leave e_k, k = ``named[m]``, on party 0 and the other on party 1,
+    and both parties' fidelity is the share of the arrangement that does.
     """
     weights = list(zip(*(profile(float(phase)) for phase in phases)))
     probs = [(w0 + w1) / 2.0 for w0, w1 in weights]
@@ -106,8 +106,9 @@ def _eigen_branches(phases, profile, labels, assignment) -> tuple:
     for m, p in enumerate(probs):
         if p > PROB_FLOOR:
             w = weights[m]
-            share = w[assignment[m][0]] / (w[0] + w[1])
-            eigenphases = tuple(float(phases[k]) for k in assignment[m])
+            k = named[m]
+            share = w[k] / (w[0] + w[1])
+            eigenphases = (float(phases[k]), float(phases[1 - k]))
             branches[labels[m]] = BranchReport((share, share), eigenphases)
     return probs, branches
 
@@ -157,13 +158,10 @@ def _x_readout(u, powers, targets, seed, shots) -> ProtocolReport:
     second's on wire 2, and -x swaps them.
     """
     phases = eigendecompose_2x2_unitary(u)
-    first, second = _match_phases(phases, targets)
+    named = _match_phases(phases, targets)
     power = sum(powers)
     labels = x_pattern_labels(1)
-    assignment = {0: (first, second), 1: (second, first)}
-    probs, branches = _eigen_branches(
-        phases, lambda phase: x_profile(power * phase), labels, assignment
-    )
+    probs, branches = _eigen_branches(phases, lambda phase: x_profile(power * phase), labels, named)
     return labelled_report(labels, probs, branches, seed, shots, control_wiring(powers))
 
 
@@ -201,7 +199,7 @@ def protocol_known_phases(
     if phase_distance(theta1, theta2) <= SPECTRUM_ATOL:
         raise ValueError("theta1 and theta2 must differ")
     phases = eigendecompose_2x2_unitary(u)
-    idx1, idx2 = _match_phases(phases, [theta1, theta2])
+    named = _match_phases(phases, [theta1, theta2])
     wiring = control_wiring([1])
 
     # optimal unambiguous discrimination of the pointer states v_j =
@@ -216,8 +214,7 @@ def protocol_known_phases(
         s1 = math.sin((phase - theta1) / 2.0)
         return [s2 * s2 / norm, s1 * s1 / norm]
 
-    assignment = {0: (idx1, idx2), 1: (idx2, idx1)}
-    probs, branches = _eigen_branches(phases, profile, ["v1", "v2"], assignment)
+    probs, branches = _eigen_branches(phases, profile, ["v1", "v2"], named)
     probs.append(max(1.0 - probs[0] - probs[1], 0.0))
     branches[FAIL_LABEL] = BranchReport()
     labels = ["v1", "v2", FAIL_LABEL]
@@ -259,11 +256,9 @@ def protocol_quartet(u: np.ndarray, seed: int = 0, shots: int = 1) -> ProtocolRe
     ks = [round(float(phase) / quarter) % 4 for phase in phases]
     if ks[0] == ks[1]:
         raise SpectrumError("gate eigenvalues must be distinct fourth roots of unity")
-    _match_phases(phases, [k * quarter for k in ks])
-
+    named = dict(zip(ks, _match_phases(phases, [k * quarter for k in ks])))
     labels = list(ETA_LABELS)
-    eigen_for_k = {ks[0]: (0, 1), ks[1]: (1, 0)}
-    probs, branches = _eigen_branches(phases, _eta_profile, labels, eigen_for_k)
+    probs, branches = _eigen_branches(phases, _eta_profile, labels, named)
     return labelled_report(labels, probs, branches, seed, shots, QUARTET_WIRING)
 
 

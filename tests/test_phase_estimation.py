@@ -373,7 +373,7 @@ class TestProfileRanking:
     @pytest.mark.parametrize("n", range(1, MAX_REGISTER_QUBITS + 1))
     @pytest.mark.parametrize("spectrum", ["on", "off"])
     @pytest.mark.parametrize("seed", range(2))
-    def test_matches_dense_top_k(self, n, spectrum, seed):
+    def test_matches_dense_top_set(self, n, spectrum, seed):
         report = run_double_pe(generate_gate(2, grid_phases(n, spectrum, seed), seed), n)
         assert_keeps_the_dense_top(report)
 

@@ -19,8 +19,10 @@ import subprocess
 import sys
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -32,6 +34,7 @@ from qsinglet.discrimination import build_idp_povm
 from qsinglet.floattext import float_texts
 from qsinglet.linalg import (
     MAX_SEED,
+    SpectrumError,
     eigendecompose_2x2_unitary,
     generate_gate,
     haar_random_unitary,
@@ -52,6 +55,7 @@ from qsinglet.protocols import (
     protocol_quartet,
     protocol_square_trick,
     quartet_output_state,
+    tomography_baseline,
 )
 from qsinglet.qudit import (
     INVOLUTION_ATOL,
@@ -344,41 +348,174 @@ def decimal_complex_sqrt(re: Decimal, im: Decimal) -> tuple:
     return (big, small) if re >= 0 else (abs(small), big if im >= 0 else -big)
 
 
+def exact_eigenvalues(u) -> list:
+    """The two roots of the characteristic polynomial of a 2x2 ``u``, its
+    float entries taken as exact, as (re, im) pairs. Call it in a context of
+    at least 50 digits."""
+    (a, b), (c, d) = [[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in u.tolist()]
+
+    def times(p, q):
+        return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+    trace = (a[0] + d[0], a[1] + d[1])
+    det = tuple(x - y for x, y in zip(times(a, d), times(b, c)))
+    square = times(trace, trace)
+    root = decimal_complex_sqrt(square[0] - 4 * det[0], square[1] - 4 * det[1])
+    return [((trace[0] + s * root[0]) / 2, (trace[1] + s * root[1]) / 2) for s in (1, -1)]
+
+
+def exact_gap(lambdas) -> Decimal:
+    """|lambda_1 - lambda_2| of :func:`exact_eigenvalues`' two roots."""
+    (re1, im1), (re2, im2) = lambdas
+    return ((re1 - re2) ** 2 + (im1 - im2) ** 2).sqrt()
+
+
+def eigenphase_error(thetas, lambdas) -> Decimal:
+    """The larger distance of the two eigenphases thetas from their own roots
+    lambda, by |Im(conj(lambda/|lambda|) e^{i theta})|, over the better of
+    the two pairings; 1 when no pairing puts each phase on a root's side."""
+
+    def error(theta, lam):
+        # conj(lambda) e^{i theta} / |lambda| must point along +1
+        cos, sin = decimal_cos(Decimal(theta)), decimal_sin(Decimal(theta))
+        along, across = lam[0] * cos + lam[1] * sin, lam[0] * sin - lam[1] * cos
+        return abs(across) / (lam[0] ** 2 + lam[1] ** 2).sqrt() if along > 0 else Decimal(1)
+
+    return min(max(error(thetas[0], first), error(thetas[1], second))
+               for first, second in (lambdas, lambdas[::-1]))
+
+
+def assert_refused_below_the_bound_or_solved(u):
+    """A 2x2 gate is refused only when its exact gap is below 1.001e-12, and
+    otherwise has an exact gap above 0.999e-12 and both eigenphases within
+    1e-14 of the exact roots."""
+    with decimal.localcontext() as context:
+        context.prec = 50
+        lambdas = exact_eigenvalues(u)
+        try:
+            thetas = eigendecompose_2x2_unitary(u).tolist()
+        except SpectrumError:
+            assert exact_gap(lambdas) < Decimal("1.001e-12")
+            return
+        assert exact_gap(lambdas) > Decimal("0.999e-12")
+        assert eigenphase_error(thetas, lambdas) <= Decimal("1e-14")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    base=angles, k=st.integers(min_value=2, max_value=11),
+    base=angles, k=st.integers(min_value=2, max_value=12),
     mantissa=st.floats(min_value=1.0, max_value=10.0, exclude_max=True), seed=seeds,
 )
 def test_near_degenerate_eigenphases_match_a_40_digit_evaluation(base, k, mantissa, seed):
-    """Gaps from 1e-11 to 1e-2 are never refused, and each eigenphase theta
-    lies within 1e-14 of a root lambda of the exact characteristic polynomial
-    of the float entries, by |Im(conj(lambda/|lambda|) e^{i theta})|, the two
-    phases on different roots. Worst seen on 2200 gates: 9.1e-16; writing the
+    """Gaps from 1e-12 to 1e-2 are refused only where the exact gap is below
+    1.001e-12, and each eigenphase theta lies within 1e-14 of a root lambda
+    of the exact characteristic polynomial of the float entries, the two
+    phases on different roots. Worst seen on 2200 gates at k <= 11: 9.1e-16,
+    and 8.9e-16 over 1500 gates at k = 12, none refused; writing the
     discriminant as trace^2 - 4 det gives 1.6e-8 at gap 1e-11."""
-    u = generate_gate(2, [base, base + mantissa * 10.0 ** -k], seed)
-    thetas = eigendecompose_2x2_unitary(u).tolist()
+    assert_refused_below_the_bound_or_solved(
+        generate_gate(2, [base, base + mantissa * 10.0 ** -k], seed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    base=angles, ratio=st.floats(min_value=0.9, max_value=1.1, exclude_max=True), seed=seeds,
+)
+def test_the_degeneracy_bound_refuses_by_the_exact_gap(base, ratio, seed):
+    """Gaps of 1e-12 [0.9, 1.1), around DEGENERACY_ATOL: a refused gate's
+    exact gap |lambda_1 - lambda_2| is below 1.001e-12, and an accepted one's
+    above 0.999e-12 with both eigenphases within 1e-14 of the roots. Over
+    4000 gates (1995 refused) every refused exact gap was at most
+    0.99990e-12, every accepted one at least 1.000027e-12, and the worst
+    phase error 9.4e-16."""
+    assert_refused_below_the_bound_or_solved(
+        generate_gate(2, [base, base + ratio * 1e-12], seed))
+
+
+def test_a_refused_gap_gives_double_pe_an_errors_report(tmp_path):
+    config = {"protocol": "double-pe", "gate": generated_gate(2, [0.7, 0.7 + 0.95e-12], 5),
+              "shots": 0, "params": {"n": 3}}
+    status, text = run_config(config, tmp_path, "refused")
+    assert status == 1
+    report = json.loads(text)
+    jsonschema.validate(report, SCHEMA)
+    assert report["errors"] == ["gate spectrum is degenerate"]
+
+
+def recorded_draws(draws):
+    """A stand-in for ``np.random.default_rng`` whose generators append what
+    each ``binomial`` call returns to ``draws``."""
+    make = np.random.default_rng
+
+    class Recorder:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def binomial(self, n, p):
+            counts = self.rng.binomial(n, p)
+            draws.append(counts.copy())
+            return counts
+
+    return Recorder
+
+
+def decimal_det3(m) -> Decimal:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gate_seed=seeds, seed=seeds, grid=st.integers(min_value=3, max_value=64),
+    # a few shots often draw the same count at every grid angle
+    shots=st.one_of(st.integers(min_value=1, max_value=4),
+                    st.integers(min_value=1, max_value=10 ** 5)),
+)
+# counts 2, 1, 2, 1 on the four angles: no first harmonic, though not all equal
+@example(gate_seed=14, seed=8, grid=4, shots=3)
+def test_tomography_matches_a_50_digit_fit(gate_seed, seed, grid, shots):
+    """With the counts it drew: p00 and p10 are the exact count ratios, and
+    the relative phase theta points along (alpha, -beta), the fringe's
+    cosine and sine coefficients of a 50-digit least-squares fit over the
+    float design entries and fringe ratios taken as exact. Scored by the
+    component of e^{i theta} across that direction over its length, within
+    1e-13; the worst over 2400 fits was 2.1e-15. When the counts have no first
+    harmonic at the exact grid angles, as when every count is equal, the
+    exact amplitude is 0 (with the float design entries, a few 1e-17) and
+    the phase is undefined, so only p00 and p10 are checked."""
+    u = haar_random_unitary(2, gate_seed)
+    draws = []
+    with mock.patch("qsinglet.protocols.np.random.default_rng", recorded_draws(draws)):
+        est = tomography_baseline(u, shots, seed, grid)
+    (counts,) = draws
+    zeros = int(counts[0])
+    assert est.p00 == float(Fraction(zeros, shots))
+    assert est.p10 == float(Fraction(shots - zeros, shots))
+    # the design and the fringe as tomography_baseline computes them
+    thetas = 2.0 * np.pi * np.arange(grid) / grid
+    columns = [np.ones_like(thetas), np.cos(thetas), np.sin(thetas)]
     with decimal.localcontext() as context:
         context.prec = 50
-        (a, b), (c, d) = [[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in u.tolist()]
-
-        def times(p, q):
-            return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
-
-        trace = (a[0] + d[0], a[1] + d[1])
-        det = tuple(x - y for x, y in zip(times(a, d), times(b, c)))
-        square = times(trace, trace)
-        root = decimal_complex_sqrt(square[0] - 4 * det[0], square[1] - 4 * det[1])
-        lambdas = [((trace[0] + s * root[0]) / 2, (trace[1] + s * root[1]) / 2) for s in (1, -1)]
-
-        def error(theta, lam):
-            # conj(lambda) e^{i theta} / |lambda| must point along +1
-            cos, sin = decimal_cos(Decimal(theta)), decimal_sin(Decimal(theta))
-            along, across = lam[0] * cos + lam[1] * sin, lam[0] * sin - lam[1] * cos
-            return abs(across) / (lam[0] ** 2 + lam[1] ** 2).sqrt() if along > 0 else Decimal(1)
-
-        worst = min(max(error(thetas[0], first), error(thetas[1], second))
-                    for first, second in (lambdas, lambdas[::-1]))
-        assert worst <= Decimal("1e-14")
+        exact = [2 * DECIMAL_PI * j / grid for j in range(grid)]
+        harmonic = [sum(int(c) * f(x) for c, x in zip(counts[1:], exact))
+                    for f in (decimal_cos, decimal_sin)]
+        if max(abs(h) for h in harmonic) < Decimal("1e-30"):
+            return
+        design = [[Decimal(float(x)) for x in column] for column in columns]
+        fringe = [Decimal(float(y)) for y in counts[1:] / shots]
+        normal = [[sum(a * b for a, b in zip(ci, cj)) for cj in design] for ci in design]
+        rhs = [sum(a * y for a, y in zip(ci, fringe)) for ci in design]
+        det = decimal_det3(normal)
+        alpha, beta = (
+            decimal_det3([row[:j] + [r] + row[j + 1:] for row, r in zip(normal, rhs)]) / det
+            for j in (1, 2)
+        )
+        theta = Decimal(est.relative_phase)
+        cos, sin = decimal_cos(theta), decimal_sin(theta)
+        assert alpha * cos - beta * sin > 0
+        across = abs(alpha * sin + beta * cos) / (alpha * alpha + beta * beta).sqrt()
+        assert across <= Decimal("1e-13")
 
 
 def assert_qudit_matches_dense(report, u):

@@ -261,7 +261,7 @@ def test_negative_shots_are_refused(run):
 def test_outcome_at_the_floor_gets_no_branch():
     # both phases weigh outcome "a" at exactly PROB_FLOOR, so its mean is the floor
     probs, branches = _eigen_branches(
-        (0.0, 1.0), lambda phase: [PROB_FLOOR, 1.0 - PROB_FLOOR], ["a", "b"], [(0, 1), (1, 0)]
+        (0.0, 1.0), lambda phase: [PROB_FLOOR, 1.0 - PROB_FLOOR], ["a", "b"], [0, 1]
     )
     assert probs[0] == PROB_FLOOR
     assert set(branches) == {"b"}
